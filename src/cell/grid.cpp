@@ -32,27 +32,73 @@ HexGrid::HexGrid(int rows, int cols, int interference_radius, Wrap wrap)
   for (int y = 0; y < rows_; ++y)
     for (int x = 0; x < cols_; ++x) axial_.push_back(offset_to_axial(x, y));
 
-  neighbors_.resize(n);
-  interference_.resize(n);
-  std::size_t degree_sum = 0;
+  neighbors_.offsets.reserve(n + 1);
+  neighbors_.cells.reserve(6 * n);
+  interference_.offsets.reserve(n + 1);
+  interference_.cells.reserve(
+      n * static_cast<std::size_t>(max_region_size(radius_, n_cells())));
   for (CellId a = 0; a < n_cells(); ++a) {
+    auto& nb = neighbors_.cells;
+    const auto first = static_cast<std::ptrdiff_t>(nb.size());
     for (const Axial d : kHexDirections) {
       const CellId b = cell_at(axial(a) + d);
-      if (b != kNoCell && b != a) neighbors_[static_cast<std::size_t>(a)].push_back(b);
+      if (b != kNoCell && b != a) nb.push_back(b);
     }
-    auto& nb = neighbors_[static_cast<std::size_t>(a)];
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+    std::sort(nb.begin() + first, nb.end());
+    nb.erase(std::unique(nb.begin() + first, nb.end()), nb.end());
+    neighbors_.offsets.push_back(nb.size());
 
-    for (CellId b = 0; b < n_cells(); ++b) {
-      if (a != b && distance(a, b) <= radius_)
-        interference_[static_cast<std::size_t>(a)].push_back(b);
-    }
-    const auto deg = interference_[static_cast<std::size_t>(a)].size();
-    degree_sum += deg;
+    append_region(a);
+    const auto deg = interference_.cells.size() - interference_.offsets.back();
+    interference_.offsets.push_back(interference_.cells.size());
     max_degree_ = std::max(max_degree_, static_cast<int>(deg));
   }
-  mean_degree_ = static_cast<double>(degree_sum) / static_cast<double>(n_cells());
+  mean_degree_ = static_cast<double>(interference_.cells.size()) /
+                 static_cast<double>(n_cells());
+}
+
+void HexGrid::append_region(CellId a) {
+  // Walk the axial disk of radius r around a row by row: row a.r + dr spans
+  // axial q in [a.q + max(-r, -dr - r), a.q + min(r, -dr + r)]. Clipping
+  // to the grid's rows and to each row's columns bounds the walk by
+  // min(3r(r+1) + 1, n) steps, so a radius larger than the grid costs
+  // O(n) per cell. On a torus cell_at wraps; a valid torus (rows, cols >
+  // 2r) never clips and never meets a cell twice.
+  auto& out = interference_.cells;
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  const Axial pa = axial(a);
+  // No two cells are rows + cols apart, so a larger radius adds nothing;
+  // capping it keeps the 64-bit bounds below from overflowing.
+  const std::int64_t r = std::min<std::int64_t>(
+      radius_, std::int64_t{rows_} + std::int64_t{cols_});
+  const bool torus = wrap_ == Wrap::kToroidal;
+  const std::int64_t dr_lo = torus ? -r : std::max<std::int64_t>(-r, -pa.r);
+  const std::int64_t dr_hi = torus ? std::min<std::int64_t>(r, -r + rows_ - 1)
+                                   : std::min<std::int64_t>(r, rows_ - 1 - pa.r);
+  for (std::int64_t dr = dr_lo; dr <= dr_hi; ++dr) {
+    const std::int64_t row = pa.r + dr;
+    std::int64_t q_lo = pa.q + std::max(-r, -dr - r);
+    std::int64_t q_hi = pa.q + std::min(r, -dr + r);
+    if (torus) {
+      q_hi = std::min(q_hi, q_lo + cols_ - 1);
+    } else {
+      // Offset column x = q + floor(row / 2) must lie in [0, cols).
+      const std::int64_t shift = (row - (row & 1)) / 2;
+      q_lo = std::max(q_lo, -shift);
+      q_hi = std::min(q_hi, cols_ - 1 - shift);
+    }
+    for (std::int64_t q = q_lo; q <= q_hi; ++q) {
+      const CellId b = cell_at(
+          Axial{static_cast<std::int32_t>(q), static_cast<std::int32_t>(row)});
+      if (b != a) out.push_back(b);
+    }
+  }
+  // Bounded rows come out ascending already (row-major, x ascending);
+  // wrapped rows restart at column 0 and need the sort.
+  if (torus) {
+    std::sort(out.begin() + first, out.end());
+    out.erase(std::unique(out.begin() + first, out.end()), out.end());
+  }
 }
 
 CellId HexGrid::cell_at(Axial a) const noexcept {

@@ -12,6 +12,12 @@
 // D corresponds to interference_radius = D - 1 in hop terms (two cells at
 // hop distance >= D may share a channel).
 //
+// Regions are built by enumerating the axial disk of radius r around each
+// cell (at most 3r(r+1) other cells, 18 at r = 2), clipped to the grid's
+// rows and to each row's columns, so construction is O(cells) for a fixed
+// radius and never worse than O(cells^2). Neighbour lists and regions are
+// stored as flat CSR tables (one offsets array plus one cells array).
+//
 // Topology:
 //  * kBounded  — grid edges are real: boundary cells have smaller
 //    neighbourhoods (the realistic deployment of Fig. 1);
@@ -24,6 +30,8 @@
 //    rows % 14 == 0 (e.g. 14x14).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -38,6 +46,15 @@ using CellId = std::int32_t;
 inline constexpr CellId kNoCell = -1;
 
 enum class Wrap : std::uint8_t { kBounded, kToroidal };
+
+/// Upper bound on the size of one interference region in a grid of
+/// `n_cells` cells: min(3r(r+1), n_cells - 1), the hex disk of radius r
+/// minus its centre. Computed in 64 bits without overflow: once r reaches
+/// 2^16, 3r(r+1) already exceeds any int32 cell count.
+constexpr std::int64_t max_region_size(std::int64_t radius, std::int64_t n_cells) {
+  const std::int64_t r = std::min<std::int64_t>(radius, std::int64_t{1} << 16);
+  return std::min(3 * r * (r + 1), n_cells - 1);
+}
 
 class HexGrid {
  public:
@@ -68,13 +85,13 @@ class HexGrid {
 
   /// The (up to six) directly adjacent cells, ascending by id.
   [[nodiscard]] std::span<const CellId> neighbors(CellId c) const {
-    return neighbors_[static_cast<std::size_t>(c)];
+    return neighbors_.row(c);
   }
 
   /// Interference region IN_c: all other cells within the interference
   /// radius, ascending by id. Symmetric: a ∈ IN(b) iff b ∈ IN(a).
   [[nodiscard]] std::span<const CellId> interference(CellId c) const {
-    return interference_[static_cast<std::size_t>(c)];
+    return interference_.row(c);
   }
 
   /// True iff a and b interfere (a != b and within the radius).
@@ -91,15 +108,30 @@ class HexGrid {
   }
 
  private:
+  /// Per-cell lists in compressed-sparse-row form: cell c's list is
+  /// cells[offsets[c] .. offsets[c + 1]).
+  struct Csr {
+    std::vector<std::size_t> offsets{0};
+    std::vector<CellId> cells;
+
+    [[nodiscard]] std::span<const CellId> row(CellId c) const {
+      const auto i = static_cast<std::size_t>(c);
+      return {cells.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    }
+  };
+
+  /// Appends IN(a) to interference_.cells by disk enumeration.
+  void append_region(CellId a);
+
   int rows_;
   int cols_;
   int radius_;
   Wrap wrap_;
   int max_degree_ = 0;
   double mean_degree_ = 0.0;
-  std::vector<Axial> axial_;                      // by cell id
-  std::vector<std::vector<CellId>> neighbors_;    // by cell id
-  std::vector<std::vector<CellId>> interference_; // by cell id
+  std::vector<Axial> axial_;  // by cell id
+  Csr neighbors_;
+  Csr interference_;
 };
 
 }  // namespace dca::cell

@@ -16,6 +16,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,12 +111,11 @@ class ChannelSet {
     return (word(c) >> bit(c)) & 1ull;
   }
 
+  /// Adds c. The storage is exactly universe-sized, so an id outside the
+  /// universe is a caller bug that would write past the buffer: it aborts
+  /// with a message in every build type.
   void insert(ChannelId c) noexcept {
-    assert(c >= 0 && c < universe_);
-    // The storage is exactly universe-sized now, so an out-of-universe id
-    // would scribble past the buffer in release builds; make it a checked
-    // no-op there (debug builds assert above).
-    if (c < 0 || c >= universe_) return;
+    if (c < 0 || c >= universe_) [[unlikely]] out_of_universe(c, universe_);
     word(c) |= (1ull << bit(c));
   }
 
@@ -291,6 +292,13 @@ class ChannelSet {
   }
   static constexpr unsigned bit(ChannelId c) noexcept {
     return static_cast<unsigned>(c % 64);
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] static void out_of_universe(ChannelId c,
+                                                                    int universe) noexcept {
+    std::fprintf(stderr, "ChannelSet::insert: channel %d outside the %d-channel universe\n",
+                 c, universe);
+    std::abort();
   }
 
   // Zeroes bits at or beyond universe_ in the top word.

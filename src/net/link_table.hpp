@@ -7,8 +7,10 @@
 // is symmetric, so the full universe of grid links is known the moment the
 // grid is. LinkTable enumerates that universe once — LinkId L(c -> d) for
 // every d in IN(c), assigned in (from ascending, to ascending) order so
-// ids are a pure function of the grid — and answers id(from, to) with two
-// array loads and a bounded scan of one interference row. All per-link
+// ids are a pure function of the grid. That order is exactly the grid's
+// CSR interference table, so a LinkId is a position in it: id(from, to)
+// is offsets[from] plus the index of `to` in the sorted IN(from), found by
+// binary search over at most 3r(r+1) entries (18 at r = 2). All per-link
 // transport state (FIFO clocks, reliable-transport tx/rx, fault RNG
 // streams, latency overrides) then lives in flat vectors indexed by
 // LinkId instead of std::map/std::unordered_map keyed by the pair.
@@ -46,42 +48,43 @@ class LinkTable {
 
   explicit LinkTable(const cell::HexGrid& grid) {
     const auto n = static_cast<std::size_t>(grid.n_cells());
-    rows_.resize(n);
-    LinkId next = 0;
+    offsets_.reserve(n + 1);
+    offsets_.push_back(0);
     for (std::size_t c = 0; c < n; ++c) {
       const auto in = grid.interference(static_cast<cell::CellId>(c));
-      Row& row = rows_[c];
-      row.base = next;
-      row.lo = in.empty() ? 0 : in.front();
-      row.hi = in.empty() ? -1 : in.back();
-      row.offset = static_cast<std::int32_t>(slots_.size());
-      // Per-source lookup strip over [lo, hi]: dense ids for interference
-      // partners, kNoLink holes elsewhere. Interference rows are compact
-      // (radius-bounded), so the strips stay small.
-      const auto width = static_cast<std::size_t>(row.hi - row.lo + 1);
-      slots_.resize(slots_.size() + width, kNoLink);
-      for (const cell::CellId d : in) {
-        slots_[static_cast<std::size_t>(row.offset + (d - row.lo))] = next;
-        ends_.push_back({static_cast<cell::CellId>(c), d});
-        ++next;
-      }
+      to_.insert(to_.end(), in.begin(), in.end());
+      from_.insert(from_.end(), in.size(), static_cast<cell::CellId>(c));
+      offsets_.push_back(static_cast<LinkId>(to_.size()));
     }
-    n_links_ = next;
   }
 
   /// Number of enumerated directed links (0 for a default-constructed table).
-  [[nodiscard]] LinkId n_links() const noexcept { return n_links_; }
+  [[nodiscard]] LinkId n_links() const noexcept {
+    return static_cast<LinkId>(to_.size());
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return n_links_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return to_.empty(); }
 
   /// LinkId of from -> to, or kNoLink when the pair is not an interference
-  /// link of the grid (or no grid was supplied). O(1): row lookup + strip
-  /// index.
+  /// link of the grid (or no grid was supplied). O(log |IN(from)|): a
+  /// binary search of from's sorted destination span.
   [[nodiscard]] LinkId id(cell::CellId from, cell::CellId to) const noexcept {
-    if (static_cast<std::size_t>(from) >= rows_.size()) return kNoLink;
-    const Row& row = rows_[static_cast<std::size_t>(from)];
-    if (to < row.lo || to > row.hi) return kNoLink;
-    return slots_[static_cast<std::size_t>(row.offset + (to - row.lo))];
+    const auto f = static_cast<std::size_t>(from);
+    if (from < 0 || f + 1 >= offsets_.size()) return kNoLink;
+    const LinkId lo = offsets_[f];
+    const LinkId hi = offsets_[f + 1];
+    if (lo == hi) return kNoLink;
+    // Branch-free lower bound: lookups arrive in no predictable order, so
+    // a select per halving beats std::lower_bound's mispredicted branches.
+    const cell::CellId* base = to_.data() + lo;
+    for (auto len = static_cast<std::size_t>(hi - lo); len > 1;) {
+      const std::size_t half = len / 2;
+      base = base[half] < to ? base + half : base;
+      len -= half;
+    }
+    base += *base < to;
+    const auto pos = static_cast<LinkId>(base - to_.data());
+    return pos < hi && *base == to ? pos : kNoLink;
   }
 
   /// As id(), but aborts on a non-interference pair. The sharded engine
@@ -101,21 +104,17 @@ class LinkTable {
 
   /// Endpoints of a link, inverse of id().
   [[nodiscard]] std::pair<cell::CellId, cell::CellId> endpoints(LinkId lid) const {
-    return ends_[static_cast<std::size_t>(lid)];
+    const auto i = static_cast<std::size_t>(lid);
+    return {from_[i], to_[i]};
   }
 
  private:
-  struct Row {
-    cell::CellId lo = 0;         // smallest interference partner id
-    cell::CellId hi = -1;        // largest interference partner id
-    std::int32_t offset = 0;     // start of this row's strip in slots_
-    LinkId base = 0;             // first LinkId of this source (unused holes aside)
-  };
-
-  std::vector<Row> rows_;                                  // by source cell
-  std::vector<LinkId> slots_;                              // row strips, kNoLink holes
-  std::vector<std::pair<cell::CellId, cell::CellId>> ends_;  // by LinkId
-  LinkId n_links_ = 0;
+  // CSR copy of the grid's interference table: source c's links are ids
+  // offsets_[c] .. offsets_[c + 1] - 1, with destinations to_[id]
+  // ascending and source from_[id] == c.
+  std::vector<LinkId> offsets_;     // by source cell, n_cells + 1 entries
+  std::vector<cell::CellId> from_;  // by LinkId
+  std::vector<cell::CellId> to_;    // by LinkId
 };
 
 /// Sparse ring buffer keyed by 64-bit sequence number, for per-link

@@ -1,6 +1,9 @@
 #include "runner/scenario.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "cell/reuse.hpp"
 #include "cell/spectrum.hpp"
@@ -11,6 +14,23 @@ namespace dca::runner {
 std::string validate_scenario(const ScenarioConfig& c) {
   if (c.rows < 1 || c.cols < 1) return "grid dimensions must be positive";
   if (c.interference_radius < 1) return "interference radius must be >= 1";
+  {
+    // CellId and LinkId are int32; check the counts in 64 bits before
+    // anything (HexGrid::n_cells() included) multiplies them in 32.
+    constexpr std::int64_t kIdLimit = std::numeric_limits<std::int32_t>::max();
+    const std::int64_t cells = std::int64_t{c.rows} * c.cols;
+    if (cells > kIdLimit)
+      return "grid of " + std::to_string(c.rows) + " x " + std::to_string(c.cols) +
+             " = " + std::to_string(cells) + " cells exceeds the " +
+             std::to_string(kIdLimit) + "-cell limit of a CellId";
+    const std::int64_t links =
+        cells * cell::max_region_size(c.interference_radius, cells);
+    if (links > kIdLimit)
+      return "grid of " + std::to_string(cells) + " cells at interference radius " +
+             std::to_string(c.interference_radius) + " may have up to " +
+             std::to_string(links) + " directed links, more than the " +
+             std::to_string(kIdLimit) + " a LinkId can number";
+  }
   if (c.n_channels < 1) return "need at least one channel";
   if (c.n_channels > cell::kMaxChannels)
     return "at most " + std::to_string(cell::kMaxChannels) + " channels supported";
@@ -24,7 +44,8 @@ std::string validate_scenario(const ScenarioConfig& c) {
   if (c.wrap == cell::Wrap::kToroidal) {
     if (c.rows % 2 != 0)
       return "toroidal grids need an even row count (odd-r offset seam)";
-    if (c.rows <= 2 * c.interference_radius || c.cols <= 2 * c.interference_radius)
+    const std::int64_t diameter = std::int64_t{2} * c.interference_radius;
+    if (c.rows <= diameter || c.cols <= diameter)
       return "toroidal grid too small: a cell would wrap into its own "
              "interference region";
   }

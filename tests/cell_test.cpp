@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "cell/grid.hpp"
 #include "cell/hex.hpp"
@@ -88,14 +90,81 @@ TEST(Grid, NeighborsAreExactlyDistanceOne) {
   }
 }
 
+struct GridShape {
+  int rows;
+  int cols;
+  int radius;
+  Wrap wrap;
+};
+
+// Every region-building shape: degenerate strips, small and odd bounded
+// grids, the boundary-free 14x14 torus at each radius, smaller tori down
+// to the narrowest valid one, and a bounded grid whose radius exceeds its
+// extent (every cell interferes with every other).
+std::vector<GridShape> region_shapes() {
+  std::vector<GridShape> shapes;
+  for (const int r : {1, 2, 3}) {
+    for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
+             {1, 1}, {1, 9}, {9, 1}, {2, 5}, {6, 6}, {7, 7}}) {
+      shapes.push_back({rows, cols, r, Wrap::kBounded});
+    }
+    shapes.push_back({14, 14, r, Wrap::kToroidal});
+  }
+  shapes.push_back({8, 9, 2, Wrap::kToroidal});
+  shapes.push_back({6, 5, 2, Wrap::kToroidal});  // smallest valid: cols = 2r + 1
+  shapes.push_back({4, 5, 40, Wrap::kBounded});
+  return shapes;
+}
+
+// The all-pairs definition of IN(a), kept here as the reference the
+// grid's disk enumeration is checked against.
+std::vector<CellId> all_pairs_region(const HexGrid& g, CellId a, int radius) {
+  std::vector<CellId> in;
+  for (CellId b = 0; b < g.n_cells(); ++b) {
+    if (a != b && g.distance(a, b) <= radius) in.push_back(b);
+  }
+  return in;
+}
+
 TEST(Grid, InterferenceRegionIsAllWithinRadius) {
-  const HexGrid g(6, 6, 2);
-  for (CellId a = 0; a < g.n_cells(); ++a) {
-    std::set<CellId> in(g.interference(a).begin(), g.interference(a).end());
-    for (CellId b = 0; b < g.n_cells(); ++b) {
-      if (a == b) continue;
-      EXPECT_EQ(in.contains(b), g.distance(a, b) <= 2)
-          << "cells " << a << "," << b;
+  for (const GridShape& s : region_shapes()) {
+    SCOPED_TRACE(::testing::Message()
+                 << s.rows << "x" << s.cols << " r=" << s.radius
+                 << (s.wrap == Wrap::kToroidal ? " torus" : " bounded"));
+    const HexGrid g(s.rows, s.cols, s.radius, s.wrap);
+    std::size_t degree_sum = 0;
+    int max_degree = 0;
+    for (CellId a = 0; a < g.n_cells(); ++a) {
+      const std::vector<CellId> want = all_pairs_region(g, a, s.radius);
+      const auto in = g.interference(a);
+      const std::vector<CellId> got(in.begin(), in.end());
+      // The reference is strictly ascending and excludes a, so equality
+      // covers membership, order, no self and no duplicates.
+      ASSERT_EQ(got, want) << "cell " << a;
+      for (CellId b = 0; b < g.n_cells(); ++b) {
+        EXPECT_EQ(g.interferes(a, b), a != b && g.distance(a, b) <= s.radius)
+            << "cells " << a << "," << b;
+      }
+
+      std::vector<CellId> adjacent;
+      for (CellId b = 0; b < g.n_cells(); ++b) {
+        if (a != b && g.distance(a, b) == 1) adjacent.push_back(b);
+      }
+      const auto nb = g.neighbors(a);
+      EXPECT_EQ(std::vector<CellId>(nb.begin(), nb.end()), adjacent) << "cell " << a;
+
+      degree_sum += want.size();
+      max_degree = std::max(max_degree, static_cast<int>(want.size()));
+    }
+    EXPECT_EQ(g.max_interference_degree(), max_degree);
+    EXPECT_DOUBLE_EQ(g.mean_interference_degree(),
+                     static_cast<double>(degree_sum) / g.n_cells());
+    EXPECT_LE(max_degree, max_region_size(s.radius, g.n_cells()));
+    if (s.wrap == Wrap::kToroidal) {
+      EXPECT_EQ(max_degree, 3 * s.radius * (s.radius + 1));
+    }
+    if (s.radius >= s.rows + s.cols) {
+      EXPECT_EQ(max_degree, g.n_cells() - 1);
     }
   }
 }

@@ -172,21 +172,15 @@ TEST(ChannelSetProperty, AllAndCopiesPreserveUniverse) {
   }
 }
 
-TEST(ChannelSetProperty, OutOfUniverseInsertAssertsInDebug) {
+TEST(ChannelSetProperty, OutOfUniverseInsertAborts) {
   // The storage is exactly universe-sized, so an out-of-universe insert
-  // would scribble past the buffer; debug builds must trip the assert
-  // (release builds turn it into a checked no-op, verified below).
+  // would scribble past the buffer; every build type must abort and name
+  // the channel and the universe.
   ChannelSet s(70);
-  EXPECT_DEBUG_DEATH(s.insert(70), "universe");
-  EXPECT_DEBUG_DEATH(s.insert(500), "universe");
-#ifdef NDEBUG
-  // Release-mode heap-overflow guard: the insert must be a no-op, not a
-  // write past the end of the universe-sized buffer.
-  s.insert(70);
-  s.insert(511);
-  EXPECT_FALSE(s.contains(70));
-  EXPECT_EQ(s.size(), 0);
-#endif
+  EXPECT_DEATH(s.insert(70), "channel 70 outside the 70-channel universe");
+  EXPECT_DEATH(s.insert(500), "channel 500 outside the 70-channel universe");
+  EXPECT_DEATH(s.insert(-1), "channel -1 outside the 70-channel universe");
+  EXPECT_DEATH(ChannelSet(0).insert(0), "channel 0 outside the 0-channel universe");
 }
 
 }  // namespace

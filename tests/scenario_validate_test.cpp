@@ -1,6 +1,9 @@
 // Tests for scenario validation (fail-fast configuration checking).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "runner/scenario.hpp"
 #include "test_util.hpp"
 
@@ -43,6 +46,52 @@ TEST(ValidateScenario, TinyTorusRejected) {
   c.cols = 4;
   c.wrap = cell::Wrap::kToroidal;
   c.greedy_plan = true;
+  EXPECT_NE(validate_scenario(c).find("too small"), std::string::npos);
+}
+
+TEST(ValidateScenario, GridTooLargeForCellIdsRejected) {
+  ScenarioConfig c;
+  c.rows = 50000;
+  c.cols = 50000;
+  EXPECT_EQ(validate_scenario(c),
+            "grid of 50000 x 50000 = 2500000000 cells exceeds the "
+            "2147483647-cell limit of a CellId");
+  c.rows = 46341;  // 46341^2 = 2147488281, just past the limit
+  c.cols = 46341;
+  EXPECT_NE(validate_scenario(c).find("-cell limit of a CellId"), std::string::npos);
+}
+
+TEST(ValidateScenario, GridTooLargeForLinkIdsRejected) {
+  ScenarioConfig c;
+  c.rows = 46340;  // 2147395600 cells fit a CellId, six links each do not
+  c.cols = 46340;
+  c.interference_radius = 1;
+  c.cluster = 3;
+  EXPECT_EQ(validate_scenario(c),
+            "grid of 2147395600 cells at interference radius 1 may have up to "
+            "12884373600 directed links, more than the 2147483647 a LinkId "
+            "can number");
+  c = ScenarioConfig{};
+  c.rows = 10000;
+  c.cols = 10000;
+  c.interference_radius = 3;
+  c.greedy_plan = true;
+  EXPECT_EQ(validate_scenario(c),
+            "grid of 100000000 cells at interference radius 3 may have up to "
+            "3600000000 directed links, more than the 2147483647 a LinkId "
+            "can number");
+}
+
+TEST(ValidateScenario, RadiusBeyondTheGridIsBoundedByTheCellCount) {
+  // A region never exceeds n - 1 cells, however large the radius.
+  ScenarioConfig c;
+  c.rows = 3;
+  c.cols = 4;
+  c.interference_radius = std::numeric_limits<int>::max();
+  c.greedy_plan = true;
+  EXPECT_EQ(validate_scenario(c), "");
+  c.rows = 4;
+  c.wrap = cell::Wrap::kToroidal;
   EXPECT_NE(validate_scenario(c).find("too small"), std::string::npos);
 }
 
