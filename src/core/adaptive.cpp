@@ -360,7 +360,7 @@ void AdaptiveNode::finish_request(ChannelId r, int prev_mode, Outcome how) {
 void AdaptiveNode::drain_deferq() {
   while (!defer_.empty()) {
     const DeferredReq d = defer_.front();
-    defer_.pop_front();
+    defer_.erase(defer_.begin());
     if (d.type == net::ReqType::kUpdate) {
       if (use_.contains(d.channel)) {
         send_reject(d.from, d.serial, d.wave, d.channel);
@@ -656,8 +656,8 @@ cell::ChannelId AdaptiveNode::pick_borrow_channel(CellId lender) const {
   // the preferred tier so concurrent borrowers spread across channels.
   const ChannelSet preferred = lendable & plan().primary(lender);
   const ChannelSet& tier = preferred.empty() ? lendable : preferred;
-  const auto members = tier.to_vector();
-  return members[env().rng(id()).pick_index(members.size())];
+  return tier.nth(static_cast<int>(
+      env().rng(id()).pick_index(static_cast<std::size_t>(tier.size()))));
 }
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -221,7 +220,9 @@ class AdaptiveNode final : public proto::AllocatorNode {
   NfcTracker nfc_;
   std::optional<Request> req_;
   std::unordered_set<cell::CellId> update_set_;            // UpdateS_i
-  std::deque<DeferredReq> defer_;                          // DeferQ_i
+  // DeferQ_i: a vector, since it holds a few entries at most and an
+  // empty std::deque still owns a heap block.
+  std::vector<DeferredReq> defer_;
   // waiting_i, kept as the multiset of searchers we answered whose
   // decision announcements are outstanding (one entry per outstanding
   // reply; a searcher can appear at most once in practice).

@@ -169,7 +169,7 @@ class SeqRing {
   }
 
  private:
-  static constexpr std::size_t kInitialCapacity = 16;
+  static constexpr std::size_t kInitialCapacity = 4;
 
   struct Slot {
     std::uint64_t seq = 0;  // 0 = empty

@@ -81,7 +81,7 @@ void AllocatorNode::advance() {
   busy_ = false;
   if (queue_.empty()) return;
   const std::uint64_t next = queue_.front();
-  queue_.pop_front();
+  queue_.erase(queue_.begin());
   busy_ = true;
   // Note: a synchronous completion chain recurses here; depth is bounded by
   // the queue length, which only builds while message exchanges are in

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <utility>
@@ -378,7 +377,9 @@ class AllocatorNode {
   const AllocationPolicy* policy_;
   bool busy_ = false;
   std::uint64_t current_serial_ = 0;  // the serial begin_request is serving
-  std::deque<std::uint64_t> queue_;
+  // FIFO of waiting serials; a vector, because an empty std::deque still
+  // holds a ~576-byte block and the queue is empty or a few entries long.
+  std::vector<std::uint64_t> queue_;
   sim::EventId timer_ = sim::kInvalidEventId;
   std::uint64_t timer_gen_ = 0;
 

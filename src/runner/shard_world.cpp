@@ -217,10 +217,11 @@ class ShardedWorld {
   sim::EventId schedule_key(const sim::EventKey& key, F&& fn);
   void flag_check(CellId owner);
 
-  // Traffic (live per-cell Lewis–Shedler chains; ids preassigned).
-  void precompute_call_ids();
-  void schedule_next_candidate(CellId c, sim::SimTime from_time);
-  void candidate_fire(CellId c, sim::SimTime when);
+  // Traffic (per-cell Lewis–Shedler chains, drawn at set-up into the
+  // candidate table; ids preassigned).
+  void build_traffic_table();
+  void schedule_next_candidate(CellId c, std::size_t k);
+  void candidate_fire(CellId c, std::size_t k);
   void submit_call(std::uint64_t serial, CellId c, sim::Duration holding);
 
   // Network (port of net::Network with shard-partitioned state).
@@ -234,6 +235,7 @@ class ShardedWorld {
   void send_ack(const LinkKey& data_link, std::uint64_t cumulative);
   void deliver_to_node(const net::Message& msg);
   sim::RngStream& link_rng(ShardState& st, LinkId lid, const LinkKey& link);
+  sim::RngStream& node_rng(CellId c);
   [[nodiscard]] sim::Duration rto(int attempts) const;
   void record_link(ShardState& st, sim::TraceKind k, const LinkKey& link,
                    std::uint64_t seq, std::int64_t b = 0);
@@ -298,11 +300,11 @@ class ShardedWorld {
   // Shared by every node; must outlive nodes_ (declared before it).
   std::unique_ptr<const proto::AllocationPolicy> policy_;
   std::vector<std::unique_ptr<proto::AllocatorNode>> nodes_;
-  std::vector<sim::RngStream> node_rng_;
+  // Lazily materialized like ShardState::fault_rng: most cells never make
+  // a randomized pick, and an engaged stream is ~2.5 KB.
+  std::vector<std::unique_ptr<sim::RngStream>> node_rng_;
   std::vector<sim::RngStream> pause_rng_;
   std::vector<sim::RngStream> crash_rng_;
-  std::vector<sim::RngStream> arrival_rng_;
-  std::vector<sim::RngStream> holding_rng_;
   std::vector<cell::ChannelSet> truth_;
   std::vector<std::uint64_t> cell_seq_;  // local-class canonical counters
 
@@ -320,12 +322,19 @@ class ShardedWorld {
   sim::Duration rto_base_ = 0;
   sim::SimTime horizon_ = 0;
 
+  // The traffic table: every candidate arrival of the run, cell c's in
+  // time order at candidates_[cand_begin_[c] .. cand_begin_[c + 1]).
   // Preassigned call identities: serial == CallId == 1 + rank of the
   // accepted arrival in (time, cell) order (the canonical execution
   // order, hence the legacy issue order).
+  struct Candidate {
+    sim::SimTime t = 0;
+    sim::Duration holding = 0;  // 0: thinned away, no call
+    traffic::CallId id = 0;     // accepted candidates only
+  };
+  std::vector<Candidate> candidates_;
+  std::vector<std::size_t> cand_begin_;  // by cell, n_cells + 1 entries
   std::vector<CellId> serial_cell_;
-  std::vector<std::vector<traffic::CallId>> ids_by_cell_;
-  std::vector<std::size_t> next_id_idx_;
 
   // Flag timelines for deferred neighbour sampling (shared convention
   // with the classic engine, see flag_timeline.hpp).
@@ -378,9 +387,7 @@ void ShardEnv::notify_reassigned(CellId cellId, cell::ChannelId from_ch,
 void ShardEnv::notify_resynced(CellId cellId, int rounds) {
   world->notify_resynced(cellId, rounds);
 }
-sim::RngStream& ShardEnv::rng(CellId cellId) {
-  return world->node_rng_[static_cast<std::size_t>(cellId)];
-}
+sim::RngStream& ShardEnv::rng(CellId cellId) { return world->node_rng(cellId); }
 sim::EventId ShardEnv::schedule_in(sim::Duration delay, sim::TimerFn fn) {
   if (delay < 0) delay = 0;
   return world->schedule_local(current, sim::kClassTimer, now() + delay,
@@ -476,20 +483,7 @@ ShardedWorld::ShardedWorld(const ScenarioConfig& config, Scheme scheme,
   truth_.assign(n, cell::ChannelSet(config_.n_channels));
   cell_seq_.assign(n, 0);
   flags_.reset(n);
-  next_id_idx_.assign(n, 0);
-  ids_by_cell_.assign(n, {});
-
-  node_rng_.reserve(n);
-  arrival_rng_.reserve(n);
-  holding_rng_.reserve(n);
-  for (CellId c = 0; c < grid_.n_cells(); ++c) {
-    node_rng_.push_back(sim::RngStream::derive(
-        config_.seed, 0x90de000ull + static_cast<std::uint64_t>(c)));
-    arrival_rng_.push_back(
-        sim::RngStream::derive(config_.seed, static_cast<std::uint64_t>(c)));
-    holding_rng_.push_back(sim::RngStream::derive(
-        config_.seed, static_cast<std::uint64_t>(c + grid_.n_cells())));
-  }
+  node_rng_.resize(n);
 
   policy_ = make_policy(config_);
   nodes_.reserve(n);
@@ -534,9 +528,9 @@ ShardedWorld::ShardedWorld(const ScenarioConfig& config, Scheme scheme,
     partitions_ = net::PartitionTimeline(config_.fault.partitions, np);
   }
 
-  precompute_call_ids();
+  build_traffic_table();
   for (CellId c = 0; c < grid_.n_cells(); ++c) {
-    schedule_next_candidate(c, 0);
+    schedule_next_candidate(c, cand_begin_[static_cast<std::size_t>(c)]);
   }
 
   kernel_.set_pin_threads(config_.pin);
@@ -612,28 +606,44 @@ void ShardedWorld::flag_check(CellId owner) {
 
 // -- traffic ---------------------------------------------------------------
 
-void ShardedWorld::precompute_call_ids() {
-  // Replays every cell's candidate chain on cloned streams to find the
-  // accepted arrivals, then assigns CallIds (== serials) in (time, cell)
-  // order — the canonical execution order of the accept events. The live
-  // chains make the identical draws from the original streams.
+void ShardedWorld::build_traffic_table() {
+  // Runs every cell's candidate chain once, in cell order, on streams
+  // local to this loop: the arrival stream draws each candidate's gap and
+  // thinning uniform, the holding stream each accepted call's holding
+  // time — the draws, in the order, that live per-cell chains would make.
+  // CallIds (== serials) then go to the accepted candidates in (time,
+  // cell) order, the canonical execution order of the accept events.
   struct Acc {
     sim::SimTime t;
     CellId c;
+    std::size_t pos;  // index into candidates_
   };
   std::vector<Acc> accepted;
+  const auto n = static_cast<std::size_t>(grid_.n_cells());
+  cand_begin_.assign(n + 1, 0);
   for (CellId c = 0; c < grid_.n_cells(); ++c) {
-    sim::RngStream rng = arrival_rng_[static_cast<std::size_t>(c)];  // clone
+    cand_begin_[static_cast<std::size_t>(c)] = candidates_.size();
     const double ceiling = profile_.max_rate(c);
     if (ceiling <= 0.0) continue;
+    sim::RngStream arrival =
+        sim::RngStream::derive(config_.seed, static_cast<std::uint64_t>(c));
+    sim::RngStream holding = sim::RngStream::derive(
+        config_.seed, static_cast<std::uint64_t>(c + grid_.n_cells()));
     sim::SimTime t = 0;
     for (;;) {
-      t += rng.exponential_gap(ceiling);
+      t += arrival.exponential_gap(ceiling);
       if (t >= horizon_) break;
+      Candidate cand{t, 0, 0};
       const double accept_p = profile_.rate(c, t) / ceiling;
-      if (rng.uniform() < accept_p) accepted.push_back(Acc{t, c});
+      if (arrival.uniform() < accept_p) {
+        cand.holding = std::max<sim::Duration>(
+            sim::from_seconds(holding.exponential_mean(config_.mean_holding_s)), 1);
+        accepted.push_back(Acc{t, c, candidates_.size()});
+      }
+      candidates_.push_back(cand);
     }
   }
+  cand_begin_[n] = candidates_.size();
   std::stable_sort(accepted.begin(), accepted.end(),
                    [](const Acc& a, const Acc& b) {
                      return a.t != b.t ? a.t < b.t : a.c < b.c;
@@ -641,35 +651,22 @@ void ShardedWorld::precompute_call_ids() {
   serial_cell_.reserve(accepted.size());
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     serial_cell_.push_back(accepted[i].c);
-    ids_by_cell_[static_cast<std::size_t>(accepted[i].c)].push_back(
-        static_cast<traffic::CallId>(i + 1));
+    candidates_[accepted[i].pos].id = static_cast<traffic::CallId>(i + 1);
   }
 }
 
-void ShardedWorld::schedule_next_candidate(CellId c, sim::SimTime from_time) {
-  auto& rng = arrival_rng_[static_cast<std::size_t>(c)];
-  const double ceiling = profile_.max_rate(c);
-  if (ceiling <= 0.0) return;
-  const sim::SimTime when = from_time + rng.exponential_gap(ceiling);
-  if (when >= horizon_) return;
-  (void)schedule_local(c, sim::kClassArrival, when,
-                       [this, c, when]() { candidate_fire(c, when); });
+void ShardedWorld::schedule_next_candidate(CellId c, std::size_t k) {
+  if (k == cand_begin_[static_cast<std::size_t>(c) + 1]) return;
+  (void)schedule_local(c, sim::kClassArrival, candidates_[k].t,
+                       [this, c, k]() { candidate_fire(c, k); });
 }
 
-void ShardedWorld::candidate_fire(CellId c, sim::SimTime when) {
-  auto& rng = arrival_rng_[static_cast<std::size_t>(c)];
-  const double ceiling = profile_.max_rate(c);
-  const double accept_p = profile_.rate(c, when) / ceiling;
-  if (rng.uniform() < accept_p) {
-    sim::Duration holding = sim::from_seconds(
-        holding_rng_[static_cast<std::size_t>(c)].exponential_mean(
-            config_.mean_holding_s));
-    if (holding <= 0) holding = 1;
-    auto& idx = next_id_idx_[static_cast<std::size_t>(c)];
-    const traffic::CallId id = ids_by_cell_[static_cast<std::size_t>(c)][idx++];
-    submit_call(static_cast<std::uint64_t>(id), c, holding);
+void ShardedWorld::candidate_fire(CellId c, std::size_t k) {
+  const Candidate& cand = candidates_[k];
+  if (cand.holding > 0) {
+    submit_call(static_cast<std::uint64_t>(cand.id), c, cand.holding);
   }
-  schedule_next_candidate(c, when);
+  schedule_next_candidate(c, k + 1);
 }
 
 void ShardedWorld::submit_call(std::uint64_t serial, CellId c,
@@ -702,6 +699,17 @@ sim::RngStream& ShardedWorld::link_rng(ShardState& st, LinkId lid,
         static_cast<std::uint32_t>(link.second);
     slot = std::make_unique<sim::RngStream>(
         sim::RngStream::derive(config_.seed ^ 0xFA017ull, label));
+  }
+  return *slot;
+}
+
+sim::RngStream& ShardedWorld::node_rng(CellId c) {
+  auto& slot = node_rng_[static_cast<std::size_t>(c)];
+  if (!slot) {
+    // Derivation is a pure function of (seed, cell), so a stream made on
+    // the first draw yields the sequence an eager table would.
+    slot = std::make_unique<sim::RngStream>(sim::RngStream::derive(
+        config_.seed, std::uint64_t{0x90de000} + static_cast<std::uint64_t>(c)));
   }
   return *slot;
 }
@@ -873,7 +881,12 @@ void ShardedWorld::on_data_frame(const LinkKey& link, std::uint64_t seq,
   ShardState& st = state_of(link.second);
   const LinkId lid = links_.require(link.first, link.second);
   LinkRx& rx = st.rx[rx_rank_[static_cast<std::size_t>(lid)]];
-  if (seq >= rx.next_expected) {
+  if (seq == rx.next_expected && rx.reorder.empty()) {
+    // In-order frame with nothing parked behind it: deliver without
+    // staging it in the ring (the common case on a mostly lossless link).
+    ++rx.next_expected;
+    deliver_to_node(msg);
+  } else if (seq >= rx.next_expected) {
     if (!rx.reorder.contains(seq)) rx.reorder.insert(seq) = msg;
     while (net::Message* next = rx.reorder.find(rx.next_expected)) {
       const net::Message m = std::move(*next);

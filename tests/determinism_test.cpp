@@ -118,6 +118,41 @@ TEST(Determinism, ShardedEngineMatchesClassicBitExactly) {
   }
 }
 
+// A time-varying profile thins the hot cells' candidate arrivals, so some
+// candidates are rejected: those still execute as events and consume the
+// arrival stream without drawing a holding time. The uniform-load tests
+// above accept every candidate; this one pins the rejected path in every
+// engine — classic, streaming on one shard, and four shards on two
+// threads — headline metrics and full trace alike.
+TEST(Determinism, HotspotRunMatchesAcrossEnginesBitExactly) {
+  runner::ScenarioConfig cfg = small_config();
+  // Short calls, so each hot cell sees ~90 candidates, ~45 of them
+  // rejected outside the hot minute.
+  cfg.mean_holding_s = 20.0;
+  const auto run = [](const runner::ScenarioConfig& c, sim::TraceRecorder* rec) {
+    return runner::run_hotspot(c, Scheme::kAdaptive, 0.5, 4.0, sim::minutes(1),
+                               sim::minutes(2), {7, 12, 13}, rec);
+  };
+  sim::TraceRecorder rec_classic, rec_stream, rec_sharded;
+  const RunResult classic = run(cfg, &rec_classic);
+
+  runner::ScenarioConfig streaming = cfg;
+  streaming.stream_metrics = true;
+  const RunResult stream = run(streaming, &rec_stream);
+
+  runner::ScenarioConfig sharded = cfg;
+  sharded.shards = 4;
+  sharded.threads = 2;
+  const RunResult shard4 = run(sharded, &rec_sharded);
+
+  expect_same_result(classic, stream, "classic vs streaming, shards=1");
+  expect_same_result(classic, shard4, "classic vs shards=4");
+  ASSERT_GT(rec_classic.size(), 0u);
+  EXPECT_EQ(rec_classic.events(), rec_stream.events()) << "streamed trace";
+  EXPECT_EQ(rec_classic.events(), rec_sharded.events()) << "merged trace";
+  EXPECT_TRUE(stream.conformance_ok());
+}
+
 // Same guarantee with the full fault cocktail: drops, duplicates, fault
 // jitter, MSS pauses, and protocol timeouts all live on per-cell/per-link
 // streams, so the shard decomposition cannot perturb them.
