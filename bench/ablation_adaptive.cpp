@@ -15,7 +15,6 @@
 #include "metrics/table.hpp"
 #include "runner/experiment.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
 namespace {
@@ -33,7 +32,6 @@ struct AdaptiveStats {
 
 AdaptiveStats run_adaptive(const runner::ScenarioConfig& cfg, double rho_base,
                            bool hotspot) {
-  runner::World w(cfg, Scheme::kAdaptive);
   const double rate = cfg.arrival_rate_for_load(rho_base);
   const cell::CellId hot = (cfg.rows / 2) * cfg.cols + cfg.cols / 2;
   const traffic::UniformProfile uni(rate);
@@ -41,18 +39,15 @@ AdaptiveStats run_adaptive(const runner::ScenarioConfig& cfg, double rho_base,
                                    sim::minutes(15));
   const traffic::LoadProfile& profile =
       hotspot ? static_cast<const traffic::LoadProfile&>(hs) : uni;
-  traffic::TrafficSource src(
-      w.simulator(), w.grid(), profile, cfg.mean_holding_s, cfg.seed,
-      [&w](const traffic::CallSpec& spec) { w.submit_call(spec); });
-  src.start(cfg.duration);
-  w.simulator().run_to_quiescence();
+  runner::World w(cfg, Scheme::kAdaptive, &profile);
+  w.run_to_quiescence();
 
   AdaptiveStats out;
-  out.run.agg = w.collector().aggregate(w.latency_bound(), cfg.warmup);
+  out.run.agg = metrics::aggregate_records(w.records(), w.latency_bound(), cfg.warmup);
   out.run.violations = w.interference_violations();
   out.run.quiescent = w.quiescent();
-  out.run.total_messages = w.network().total_sent();
-  out.change_mode_msgs = w.network().sent_of(net::MsgKind::kChangeMode);
+  out.run.total_messages = w.total_sent();
+  out.change_mode_msgs = w.sent_of(net::MsgKind::kChangeMode);
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c) {
     const auto& n = dynamic_cast<const core::AdaptiveNode&>(w.node(c));
     out.mode_switches += n.switches_to_borrowing() + n.switches_to_local();

@@ -20,7 +20,6 @@
 #include "metrics/table.hpp"
 #include "proto/advanced_search.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
 namespace {
@@ -68,20 +67,16 @@ class BurstProfile final : public traffic::LoadProfile {
 
 Result run_phase(Scheme scheme, const runner::ScenarioConfig& cfg,
                  const BurstProfile& profile) {
-  runner::World w(cfg, scheme);
-  traffic::TrafficSource src(
-      w.simulator(), w.grid(), profile, cfg.mean_holding_s, cfg.seed,
-      [&w](const traffic::CallSpec& spec) { w.submit_call(spec); });
-  src.start(cfg.duration);
-  w.simulator().run_to_quiescence();
+  runner::World w(cfg, scheme, &profile);
+  w.run_to_quiescence();
   if (w.interference_violations() != 0 || !w.quiescent()) {
     std::fprintf(stderr, "INVARIANT FAILURE in %s\n",
                  runner::scheme_name(scheme).c_str());
     std::exit(1);
   }
   Result out;
-  out.agg = w.collector().aggregate(w.latency_bound(), cfg.warmup);
-  out.transfer_msgs = w.network().sent_of(net::MsgKind::kTransfer);
+  out.agg = metrics::aggregate_records(w.records(), w.latency_bound(), cfg.warmup);
+  out.transfer_msgs = w.sent_of(net::MsgKind::kTransfer);
   if (scheme == Scheme::kAdvancedSearch) {
     for (cell::CellId c = 0; c < w.grid().n_cells(); ++c) {
       const auto& n = dynamic_cast<const proto::AdvancedSearchNode&>(w.node(c));

@@ -1,5 +1,5 @@
-// Engine throughput benchmark: the sharded deterministic-parallel kernel
-// against the classic single-queue engine on a large fixed-seed scenario.
+// Engine throughput benchmark: the deterministic-parallel kernel at one
+// shard against N shards on a large fixed-seed scenario.
 //
 // Appends one timestamped trajectory entry per run to BENCH_engine.json
 // (a JSON array; a legacy single-object file is wrapped on first append)
@@ -33,10 +33,8 @@
 #include "metrics/json.hpp"
 #include "net/latency.hpp"
 #include "net/link_table.hpp"
-#include "net/network.hpp"
 #include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
-#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -68,7 +66,6 @@ const char* partition_name(dca::cell::Partition p) {
 /// entries record real parallelism instead of the raw knob (which was
 /// recorded as a meaningless 0 before).
 int resolved_workers(const dca::runner::ScenarioConfig& c) {
-  if (c.shards <= 1 && !c.stream_metrics) return 1;  // classic engine
   int t = c.threads;
   if (t <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -111,99 +108,6 @@ Measurement measure(const dca::runner::ScenarioConfig& cfg, Scheme scheme,
               m.partition.c_str(), m.wall_s,
               static_cast<unsigned long long>(m.events), m.events_per_sec);
   return m;
-}
-
-// -- transport-layer breakdown ----------------------------------------------
-//
-// Two micro-timings isolate what one engine event and one network message
-// cost on the flattened hot path, then the classic run's (events, messages,
-// wall) decomposes into estimated shares of wall time: transport
-// (send+deliver, including the delivery event), queue (the remaining
-// non-delivery events' schedule+dispatch overhead), and protocol logic (the
-// residual — the allocator state machines themselves).
-
-/// Self-scheduling chain functor: stays inside EventFn's inline buffer, so
-/// this times the flattened schedule -> heap -> dispatch path alone.
-struct ChainTick {
-  dca::sim::Simulator* sim;
-  int* remaining;
-  void operator()() const {
-    if (--*remaining > 0) sim->schedule_in(1, ChainTick{sim, remaining});
-  }
-};
-
-double measure_queue_ns_per_event() {
-  dca::sim::Simulator sim;
-  int remaining = 2'000'000;
-  const int total = remaining;
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.schedule_in(1, ChainTick{&sim, &remaining});
-  sim.run_to_quiescence();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() / total;
-}
-
-double measure_transport_ns_per_message(const dca::runner::ScenarioConfig& cfg) {
-  // Drives Network::send over the real link table of the bench grid,
-  // round-robin across one cell's interference neighbourhood, with
-  // deliveries drained in batches (mirrors the running engine: sends and
-  // deliveries interleave).
-  dca::sim::Simulator sim;
-  const dca::cell::HexGrid grid(cfg.rows, cfg.cols, cfg.interference_radius,
-                                cfg.wrap);
-  dca::net::Network net(
-      sim, std::make_unique<dca::net::FixedLatency>(cfg.latency), &grid);
-  std::uint64_t delivered = 0;
-  net.set_receiver([&delivered](const dca::net::Message&) { ++delivered; });
-
-  const dca::cell::CellId center =
-      static_cast<dca::cell::CellId>(grid.n_cells() / 2 + cfg.cols / 2);
-  const auto neighbours = grid.interference(center);
-  constexpr std::uint64_t kMessages = 1'000'000;
-  constexpr std::uint64_t kBatch = 64;
-  dca::net::Message msg;
-  msg.kind = dca::net::MsgKind::kRequest;
-  msg.from = center;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t sent = 0;
-  while (sent < kMessages) {
-    for (std::uint64_t b = 0; b < kBatch && sent < kMessages; ++b, ++sent) {
-      msg.to = neighbours[sent % neighbours.size()];
-      net.send(msg);
-    }
-    sim.run_to_quiescence();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  if (delivered != kMessages) std::abort();  // FIFO floor must not drop any
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(kMessages);
-}
-
-struct Breakdown {
-  double queue_ns_per_event = 0.0;
-  double transport_ns_per_message = 0.0;
-  double messages_per_sec = 0.0;
-  double transport_share = 0.0;
-  double queue_share = 0.0;
-  double protocol_share = 0.0;
-};
-
-Breakdown transport_breakdown(const dca::runner::ScenarioConfig& cfg,
-                              const Measurement& classic) {
-  Breakdown b;
-  b.queue_ns_per_event = measure_queue_ns_per_event();
-  b.transport_ns_per_message = measure_transport_ns_per_message(cfg);
-  const double wall_ns = classic.wall_s * 1e9;
-  if (wall_ns <= 0) return b;
-  const double msgs = static_cast<double>(classic.messages);
-  const double other_events =
-      static_cast<double>(classic.events) - msgs;  // non-delivery events
-  b.messages_per_sec = msgs / classic.wall_s;
-  b.transport_share = msgs * b.transport_ns_per_message / wall_ns;
-  b.queue_share = other_events * b.queue_ns_per_event / wall_ns;
-  b.protocol_share = 1.0 - b.transport_share - b.queue_share;
-  if (b.protocol_share < 0) b.protocol_share = 0;
-  return b;
 }
 
 /// Cross-shard protocol messages under a given partition on the 12x12
@@ -359,7 +263,7 @@ int main(int argc, char** argv) {
     policy_choices.push_back(std::move(pc));
   }
 
-  dca::benchutil::heading("engine throughput: classic vs sharded");
+  dca::benchutil::heading("engine throughput: one shard vs sharded");
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u, sharded run uses shards=%d, rho=%.2f\n\n",
               hw, shards_n, rho);
@@ -405,18 +309,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Where the wall time goes on the classic (shards=1) engine: micro-timed
-  // per-event queue cost and per-message transport cost, scaled by the
-  // first scheme's classic run.
-  dca::benchutil::heading("transport-layer breakdown (classic engine)");
-  const Measurement& classic = results.front();
-  const Breakdown bd = transport_breakdown(bench_config(), classic);
-  std::printf("queue dispatch: %6.1f ns/event   transport send+deliver: %6.1f ns/message\n",
-              bd.queue_ns_per_event, bd.transport_ns_per_message);
-  std::printf("%s classic run: %.0f messages/s  ->  est. shares: transport %.1f%%  queue %.1f%%  protocol %.1f%%\n",
-              classic.scheme.c_str(), bd.messages_per_sec,
-              100.0 * bd.transport_share, 100.0 * bd.queue_share,
-              100.0 * bd.protocol_share);
 
   // Link-table shape of the bench grid (recorded with the trajectory so
   // regressions can be traced to topology changes).
@@ -440,9 +332,9 @@ int main(int argc, char** argv) {
 
   // Mobility/handoff throughput: the same scenario with short dwells, so
   // nearly every call migrates several times. Handoffs ride HANDOFF
-  // messages over the ordinary links — on the sharded engine many cross a
+  // messages over the ordinary links — with several shards many cross a
   // shard boundary, so this measures the migration machinery's cost and
-  // its cross-shard traffic, classic vs sharded.
+  // its cross-shard traffic, one shard vs several.
   dca::benchutil::heading("mobility/handoff: events/sec and cross-shard messages");
   struct MobilityRun {
     int shards = 1;
@@ -483,8 +375,8 @@ int main(int argc, char** argv) {
   }
 
   // Crash-recovery overhead: the bench scenario with the crash fault model
-  // on (stations failing ~1/min, cold restarts, resync), classic vs
-  // sharded. Alongside throughput the trajectory records the availability
+  // on (stations failing ~1/min, cold restarts, resync), one shard vs
+  // several. Alongside throughput the trajectory records the availability
   // metrics — uptime fraction and mean time-to-resync — so a protocol
   // change that slows recovery shows up run over run.
   dca::benchutil::heading("crash-recovery: events/sec and availability");
@@ -550,9 +442,6 @@ int main(int argc, char** argv) {
       sc.shards = shards;
       sc.threads = threads;
       sc.pin = true;
-      // shards=1 must still exercise the sharded engine (the classic one
-      // has no workers to scale); stream_metrics routes it there.
-      sc.stream_metrics = shards == 1;
       const auto t0 = std::chrono::steady_clock::now();
       const RunResult r = dca::runner::run_uniform(sc, Scheme::kAdaptive, rho);
       const auto t1 = std::chrono::steady_clock::now();
@@ -597,7 +486,7 @@ int main(int argc, char** argv) {
               metro_bytes_per_cell);
 
   // Determinism sanity for the record: events/sec means nothing if the
-  // sharded engine diverged. The merged trace must satisfy every
+  // sharded run diverged. The merged trace must satisfy every
   // conformance invariant (incl. reuse-distance, which substitutes for
   // the cross-shard half of the online Theorem-1 check).
   dca::benchutil::heading("conformance of the merged sharded trace");
@@ -635,23 +524,6 @@ int main(int argc, char** argv) {
   w.value(static_cast<std::int64_t>(bench_links.n_links()));
   w.key("max_degree");
   w.value(static_cast<std::int64_t>(bench_grid.max_interference_degree()));
-  w.end_object();
-  w.key("transport_breakdown");
-  w.begin_object();
-  w.key("queue_ns_per_event");
-  w.value(bd.queue_ns_per_event);
-  w.key("transport_ns_per_message");
-  w.value(bd.transport_ns_per_message);
-  w.key("classic_scheme");
-  w.value(classic.scheme);
-  w.key("messages_per_sec");
-  w.value(bd.messages_per_sec);
-  w.key("transport_share");
-  w.value(bd.transport_share);
-  w.key("queue_share");
-  w.value(bd.queue_share);
-  w.key("protocol_share");
-  w.value(bd.protocol_share);
   w.end_object();
   w.key("results");
   w.begin_array();

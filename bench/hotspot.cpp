@@ -13,7 +13,6 @@
 #include "metrics/table.hpp"
 #include "metrics/timeseries.hpp"
 #include "runner/world.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
 int main() {
@@ -38,15 +37,11 @@ int main() {
            "msgs/call", "xi1/xi2/xi3"});
 
   for (const Scheme s : runner::kAllSchemes) {
-    runner::World w(cfg, s);
     const traffic::HotspotProfile profile(cfg.arrival_rate_for_load(rho_base),
                                           {hot_cell}, hot_factor, hot_start,
                                           hot_end);
-    traffic::TrafficSource src(
-        w.simulator(), w.grid(), profile, cfg.mean_holding_s, cfg.seed,
-        [&w](const traffic::CallSpec& spec) { w.submit_call(spec); });
-    src.start(cfg.duration);
-    w.simulator().run_to_quiescence();
+    runner::World w(cfg, s, &profile);
+    w.run_to_quiescence();
 
     if (w.interference_violations() != 0 || !w.quiescent()) {
       std::fprintf(stderr, "INVARIANT FAILURE in %s\n",
@@ -55,13 +50,13 @@ int main() {
     }
 
     std::uint64_t hot_off = 0, hot_drop = 0, oth_off = 0, oth_drop = 0;
-    for (const auto& rec : w.collector().records()) {
+    for (const auto& rec : w.records()) {
       if (rec.t_request < cfg.warmup) continue;
       const bool hot = (rec.cellId == hot_cell);
       (hot ? hot_off : oth_off)++;
       if (!proto::is_acquired(rec.outcome)) (hot ? hot_drop : oth_drop)++;
     }
-    const auto agg = w.collector().aggregate(w.latency_bound(), cfg.warmup);
+    const auto agg = metrics::aggregate_records(w.records(), w.latency_bound(), cfg.warmup);
     char xi[64];
     std::snprintf(xi, sizeof xi, "%.2f/%.2f/%.2f", agg.xi1, agg.xi2, agg.xi3);
     const auto pct = [](std::uint64_t d, std::uint64_t n) {
@@ -82,18 +77,14 @@ int main() {
   std::vector<metrics::TimeSeries> dropped_series;
   std::vector<metrics::TimeSeries> offered_series;
   for (const Scheme s : timeline_schemes) {
-    runner::World w(cfg, s);
     const traffic::HotspotProfile profile(cfg.arrival_rate_for_load(rho_base),
                                           {hot_cell}, hot_factor, hot_start,
                                           hot_end);
-    traffic::TrafficSource src(
-        w.simulator(), w.grid(), profile, cfg.mean_holding_s, cfg.seed,
-        [&w](const traffic::CallSpec& spec) { w.submit_call(spec); });
-    src.start(cfg.duration);
-    w.simulator().run_to_quiescence();
+    runner::World w(cfg, s, &profile);
+    w.run_to_quiescence();
     metrics::TimeSeries dropped(sim::minutes(2));
     metrics::TimeSeries offered(sim::minutes(2));
-    for (const auto& rec : w.collector().records()) {
+    for (const auto& rec : w.records()) {
       if (rec.cellId != hot_cell) continue;
       offered.add(rec.t_request, 1.0);
       if (!proto::is_acquired(rec.outcome)) dropped.add(rec.t_request, 1.0);

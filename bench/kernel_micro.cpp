@@ -1,140 +1,16 @@
 // E-K1 — google-benchmark microbenchmarks of the simulation substrate:
-// event-queue throughput, ChannelSet algebra, interference lookups, and
-// end-to-end simulated-call throughput of the full world.
+// ChannelSet algebra, grid and reuse-plan construction, and end-to-end
+// simulated-call throughput of the full world.
 #include <benchmark/benchmark.h>
-
-#include <memory>
 
 #include "cell/grid.hpp"
 #include "cell/reuse.hpp"
 #include "cell/spectrum.hpp"
-#include "net/fault.hpp"
-#include "net/latency.hpp"
-#include "net/network.hpp"
 #include "runner/experiment.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/random.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
 using namespace dca;
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::RngStream rng(1);
-  for (auto _ : state) {
-    sim::EventQueue q;
-    for (std::size_t i = 0; i < n; ++i) {
-      q.schedule(rng.uniform_int(0, 1'000'000), [] {});
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().when);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
-
-void BM_SimulatorSelfSchedulingChain(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator s;
-    int remaining = 10000;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) s.schedule_in(1, tick);
-    };
-    s.schedule_in(1, tick);
-    s.run_to_quiescence();
-    benchmark::DoNotOptimize(s.now());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
-}
-BENCHMARK(BM_SimulatorSelfSchedulingChain);
-
-void BM_NetworkSendDeliver(benchmark::State& state) {
-  // The fault-free transport hot path: LinkId resolution, FIFO-floor
-  // probe, inline delivery closure, dispatch — no reliable-transport
-  // framing. One item = one message end to end.
-  sim::Simulator s;
-  const cell::HexGrid grid(16, 16, 2);
-  net::Network netw(s, std::make_unique<net::FixedLatency>(sim::milliseconds(5)),
-                    &grid);
-  std::uint64_t delivered = 0;
-  netw.set_receiver([&delivered](const net::Message&) { ++delivered; });
-  const cell::CellId center = grid.n_cells() / 2 + 8;
-  const auto in = grid.interference(center);
-  net::Message msg;
-  msg.from = center;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    msg.to = in[i++ % in.size()];
-    netw.send(msg);
-    s.run_to_quiescence();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_NetworkSendDeliver);
-
-void BM_TransportSendAckRoundTrip(benchmark::State& state) {
-  // Reliable transport engaged (jitter=1us, no drops/dups): one item =
-  // data frame out, resequence, cumulative ack back, pending-window erase,
-  // RTO cancel — the full send -> ack round trip on the ring buffers.
-  sim::Simulator s;
-  const cell::HexGrid grid(16, 16, 2);
-  net::Network netw(s, std::make_unique<net::FixedLatency>(sim::milliseconds(5)),
-                    &grid);
-  net::FaultConfig fc;
-  fc.jitter = 1;
-  netw.enable_faults(fc, 42);
-  std::uint64_t delivered = 0;
-  netw.set_receiver([&delivered](const net::Message&) { ++delivered; });
-  const cell::CellId center = grid.n_cells() / 2 + 8;
-  const auto in = grid.interference(center);
-  net::Message msg;
-  msg.from = center;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    msg.to = in[i++ % in.size()];
-    netw.send(msg);
-    s.run_to_quiescence();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TransportSendAckRoundTrip);
-
-void BM_TransportDupReorderCocktail(benchmark::State& state) {
-  // Lossy-link cocktail (10% drop, 10% dup, 500us jitter): retransmit
-  // timers, duplicate suppression, and out-of-order resequencing all hit
-  // the per-link rings. Sends go in bursts so frames genuinely reorder.
-  sim::Simulator s;
-  const cell::HexGrid grid(16, 16, 2);
-  net::Network netw(s, std::make_unique<net::FixedLatency>(sim::milliseconds(5)),
-                    &grid);
-  net::FaultConfig fc;
-  fc.drop_prob = 0.10;
-  fc.dup_prob = 0.10;
-  fc.jitter = 500;
-  netw.enable_faults(fc, 42);
-  std::uint64_t delivered = 0;
-  netw.set_receiver([&delivered](const net::Message&) { ++delivered; });
-  const cell::CellId center = grid.n_cells() / 2 + 8;
-  const auto in = grid.interference(center);
-  net::Message msg;
-  msg.from = center;
-  constexpr int kBurst = 16;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    for (int b = 0; b < kBurst; ++b) {
-      msg.to = in[i++ % in.size()];
-      netw.send(msg);
-    }
-    s.run_to_quiescence();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBurst);
-}
-BENCHMARK(BM_TransportDupReorderCocktail);
 
 void BM_ChannelSetAlgebra(benchmark::State& state) {
   cell::ChannelSet a(512), b(512);

@@ -1,9 +1,9 @@
 // Protocol trace: a microscope on the adaptive scheme's message exchanges.
 //
 // Runs a tiny scripted scenario — a cell exhausting its primaries, then
-// borrowing from a neighbour — with network tracing enabled, so every
+// borrowing from a neighbour — with a delivery observer attached, so every
 // REQUEST/RESPONSE/CHANGE_MODE/ACQUISITION/RELEASE appears on stdout with
-// its simulated timestamp. Useful for studying the protocol and for
+// the simulated instant it arrives. Useful for studying the protocol and for
 // debugging new schemes against the paper's Figs. 2-10.
 //
 //   $ ./protocol_trace
@@ -32,7 +32,11 @@ int main() {
   trace.set_sink([](std::string_view line) { std::printf("%.*s\n",
                                                          static_cast<int>(line.size()),
                                                          line.data()); });
-  world.network().set_trace(&trace);
+  world.set_delivery_observer([&trace](sim::SimTime t, const net::Message& m) {
+    trace.emit(sim::LogLevel::kTrace, t,
+               sim::format_line("net: ", m.from, " -> ", m.to, " ",
+                                m.kind_name(), " ch=", m.channel));
+  });
 
   const cell::CellId hot = (cfg.rows / 2) * cfg.cols + cfg.cols / 2;
   std::printf("== scripted scenario: cell %d exhausts its 3 primaries, then borrows ==\n\n",
@@ -42,7 +46,7 @@ int main() {
     traffic::CallSpec spec;
     spec.id = id;
     spec.cell = c;
-    spec.arrival = world.simulator().now();
+    spec.arrival = world.now();
     spec.holding = hold;
     world.submit_call(spec);
   };
@@ -52,17 +56,17 @@ int main() {
   offer(hot, 1, sim::seconds(40));
   offer(hot, 2, sim::seconds(40));
   offer(hot, 3, sim::seconds(40));
-  world.simulator().run_until(sim::seconds(1));
+  world.run_until(sim::seconds(1));
 
   std::printf("\n-- t=1s: a fourth call: borrowing via one update round --\n");
   offer(hot, 4, sim::seconds(10));
-  world.simulator().run_until(sim::seconds(2));
+  world.run_until(sim::seconds(2));
 
   std::printf("\n-- t=11s: the borrowed call ends (region-wide RELEASE) --\n");
-  world.simulator().run_until(sim::seconds(20));
+  world.run_until(sim::seconds(20));
 
   std::printf("\n-- t=40s: the local calls end; the node returns to local mode --\n");
-  world.simulator().run_to_quiescence();
+  world.run_to_quiescence();
 
   const auto& node = dynamic_cast<const core::AdaptiveNode&>(world.node(hot));
   std::printf("\nfinal state: mode=%d, in-use=%s, violations=%llu\n", node.mode(),

@@ -864,6 +864,11 @@ void AdaptiveNode::on_message(const net::Message& msg) {
     case net::MsgKind::kRelease:
       handle_release(msg);
       break;
+    case net::MsgKind::kTransfer:     // advanced-search only
+    case net::MsgKind::kResyncReq:    // consumed by handle_resync above
+    case net::MsgKind::kResyncReply:  // consumed by handle_resync above
+    case net::MsgKind::kHandoff:      // the runner intercepts call migration
+      break;
   }
 }
 

@@ -3,9 +3,9 @@
 // A cell is *unavailable* from the instant its MSS crashes until its
 // post-restart resync round completes: the outage itself (crash -> restart)
 // plus the resynchronization window (restart -> kResyncDone), during which
-// the node answers peers but admits no new traffic. Both engines fill one
-// Availability per run (the sharded engine sums per-shard instances; every
-// field is a plain sum, the max a plain max, so the merge is associative).
+// the node answers peers but admits no new traffic. Each shard fills one
+// Availability and the run sums them (every field is a plain sum, the max
+// a plain max, so the merge is associative).
 #pragma once
 
 #include <cstdint>

@@ -137,7 +137,7 @@ class AggregateBuilder {
 
 /// Aggregates a sequence of closed call records. This is the single
 /// source of truth for Aggregate: Collector::aggregate delegates here, and
-/// the sharded engine calls it directly on the canonically-merged record
+/// the world calls it directly on the canonically-merged record
 /// vector, so a merged multi-shard run reduces through the *same* code
 /// (and the same floating-point accumulation order) as a one-shard run.
 /// `T` is the latency bound for delay_in_T; records with t_request <
@@ -170,7 +170,7 @@ class Collector {
   }
 
   /// True iff this collector holds the record (open or closed) for
-  /// `serial`. The sharded engine uses this to route billing for migrated
+  /// `serial`. The world uses this to route billing for migrated
   /// calls: exactly one shard ever opens a given serial's record, so a
   /// message observed on a shard that does not know the serial must be
   /// billed through the foreign-billing log instead.
@@ -181,7 +181,7 @@ class Collector {
   [[nodiscard]] const std::vector<CallRecord>& records() const noexcept {
     return closed_;
   }
-  /// Mutable access for post-run enrichment (the engines fill the
+  /// Mutable access for post-run enrichment (the world fills the
   /// deferred N_borrow / N_search neighbour samples in place).
   [[nodiscard]] std::vector<CallRecord>& mutable_records() noexcept {
     return closed_;

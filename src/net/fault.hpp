@@ -91,9 +91,9 @@ struct FaultConfig {
 };
 
 /// Answers "is this directed link severed at time t?" against the
-/// scenario's partition list. Both engines consult the same pure function
+/// scenario's partition list. Every shard consults the same pure function
 /// at the same (sender-side) draw sites, so the fault schedule — and the
-/// RNG draw sequence after it — stays bit-identical across engines.
+/// RNG draw sequence after it — stays bit-identical at any shard count.
 class PartitionTimeline {
  public:
   PartitionTimeline() = default;

@@ -125,8 +125,8 @@ class JitterLatency final : public LatencyModel {
 /// directed link, derived purely from (seed, from, to). Unlike
 /// JitterLatency's single shared stream, the draw a message sees depends
 /// only on its link and its position in that link's send sequence — which
-/// is identical in the classic and sharded engines (per-link send order is
-/// canonical), so both engines see the same delays message-for-message.
+/// is the same at every shard count (per-link send order is canonical), so
+/// every run sees the same delays message-for-message.
 class LinkJitterLatency final : public LatencyModel {
  public:
   LinkJitterLatency(sim::Duration lo, sim::Duration hi, std::uint64_t seed)

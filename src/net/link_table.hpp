@@ -87,8 +87,8 @@ class LinkTable {
     return pos < hi && *base == to ? pos : kNoLink;
   }
 
-  /// As id(), but aborts on a non-interference pair. The sharded engine
-  /// uses this: every protocol send is within an interference
+  /// As id(), but aborts on a non-interference pair. The world uses
+  /// this: every protocol send is within an interference
   /// neighbourhood, so a miss is a logic bug, not a runtime condition.
   [[nodiscard]] LinkId require(cell::CellId from, cell::CellId to) const noexcept {
     const LinkId lid = id(from, to);

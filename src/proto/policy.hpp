@@ -24,7 +24,7 @@
 //       * admit()       — request-priority gate run before a request is
 //                         served (guard channels, handoff preference, ...).
 //     Policies are immutable after construction and shared by every node
-//     of a world, so both engines route through the identical object and
+//     of a world, so every shard routes through the identical object and
 //     traces stay bit-identical for any shard/thread count.
 //
 // New policies register with the static PolicyRegistry: one file in

@@ -2,65 +2,16 @@
 // through it, and return the aggregated results every bench/table consumes.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "metrics/availability.hpp"
 #include "metrics/collector.hpp"
-#include "net/fault.hpp"
-#include "net/message.hpp"
 #include "runner/scenario.hpp"
 #include "runner/world.hpp"
 #include "sim/trace.hpp"
 #include "traffic/profile.hpp"
 
 namespace dca::runner {
-
-struct RunResult {
-  Scheme scheme = Scheme::kFca;
-  metrics::Aggregate agg;
-  std::uint64_t total_messages = 0;
-  /// Protocol messages whose sender and receiver cells live on different
-  /// shards (always 0 on the classic shards=1 engine). An engine-cost
-  /// metric, not a simulation result: it varies with shards/partition
-  /// while every simulation output stays bit-identical.
-  std::uint64_t cross_shard_messages = 0;
-  std::array<std::uint64_t, net::kNumMsgKinds> messages_by_kind{};
-  std::uint64_t offered_calls = 0;  // including warmup
-  double carried_erlangs = 0.0;     // time-weighted channels in use
-  std::uint64_t violations = 0;
-  std::uint64_t executed_events = 0;
-  bool quiescent = false;
-  net::TransportStats transport;  // all-zero unless faults were enabled
-  /// Crash/resync availability accounting (all-zero with crashes off).
-  metrics::Availability availability;
-
-  /// Process-wide peak resident set (getrusage ru_maxrss) sampled after
-  /// the run, in bytes; 0 where the platform cannot report it. A
-  /// high-water mark, so it reflects the largest run of the process, not
-  /// necessarily this one — meaningful for one-run processes (dcasim,
-  /// the metro smoke test) and as an upper bound elsewhere.
-  std::uint64_t peak_rss_bytes = 0;
-  /// In-engine conformance replay (streaming mode with a trace attached):
-  /// whether it ran, and how many invariant violations it found.
-  bool conformance_checked = false;
-  std::uint64_t conformance_violations = 0;
-  [[nodiscard]] bool conformance_ok() const {
-    return conformance_checked && conformance_violations == 0;
-  }
-
-  /// Control messages per offered call over the whole run (global view,
-  /// complementary to the per-call attribution in agg.messages_per_call).
-  [[nodiscard]] double messages_per_offered() const {
-    return offered_calls == 0
-               ? 0.0
-               : static_cast<double>(total_messages) /
-                     static_cast<double>(offered_calls);
-  }
-};
 
 /// Runs `scheme` under the given load profile for config.duration (plus
 /// drain time) and aggregates records after config.warmup. When `trace`

@@ -1,5 +1,4 @@
-// Scheme -> AllocatorNode construction, shared by the classic World and
-// the sharded engine so both assemble byte-identical protocol agents.
+// Scheme -> AllocatorNode construction for the World.
 #pragma once
 
 #include <memory>

@@ -11,6 +11,18 @@
 
 namespace dca::runner {
 
+std::string scheme_name(Scheme s) {
+  switch (s) {
+    case Scheme::kFca: return "FCA (static)";
+    case Scheme::kBasicSearch: return "Basic Search";
+    case Scheme::kBasicUpdate: return "Basic Update";
+    case Scheme::kAdvancedUpdate: return "Advanced Update";
+    case Scheme::kAdvancedSearch: return "Advanced Search";
+    case Scheme::kAdaptive: return "Adaptive (proposed)";
+  }
+  return "?";
+}
+
 std::string validate_scenario(const ScenarioConfig& c) {
   if (c.rows < 1 || c.cols < 1) return "grid dimensions must be positive";
   if (c.interference_radius < 1) return "interference radius must be >= 1";
@@ -50,7 +62,9 @@ std::string validate_scenario(const ScenarioConfig& c) {
              "interference region";
   }
   if (c.mean_holding_s <= 0.0) return "mean holding time must be positive";
-  if (c.latency < 0) return "latency cannot be negative";
+  if (c.latency <= 0)
+    return "need latency > 0 (the per-link latency floors are the engine's "
+           "lookahead)";
   if (c.latency_jitter < 0) return "latency_jitter cannot be negative";
   if (c.mean_dwell_s < 0.0) return "mean dwell cannot be negative";
   if (c.duration <= 0) return "duration must be positive";
@@ -95,16 +109,7 @@ std::string validate_scenario(const ScenarioConfig& c) {
            "request_timeout";
   if (c.shards < 1) return "shards must be >= 1";
   if (c.threads < 0) return "threads cannot be negative";
-  if (c.shards > 1) {
-    if (c.shards > c.rows * c.cols)
-      return "more shards than cells";
-    if (c.latency <= 0)
-      return "sharded execution needs latency > 0 (the per-link latency "
-             "floors are the engine's lookahead)";
-  }
-  if (c.stream_metrics && c.latency <= 0)
-    return "stream_metrics runs on the sharded engine and needs latency > 0 "
-           "(the per-link latency floors are the engine's lookahead)";
+  if (c.shards > c.rows * c.cols) return "more shards than cells";
   if (c.radio_fade_prob < 0.0 || c.radio_fade_prob >= 1.0)
     return "radio_fade_prob must be in [0, 1)";
   {
@@ -136,7 +141,7 @@ std::unique_ptr<net::LatencyModel> make_scenario_latency(
   if (c.latency_jitter > 0) {
     // Uniform in [latency - jitter, latency], floored at 1 us so time
     // always advances. Per-link streams keep the draw sequence identical
-    // across engines (see LinkJitterLatency).
+    // at any shard count (see LinkJitterLatency).
     const sim::Duration lo =
         std::max<sim::Duration>(c.latency - c.latency_jitter, 1);
     return std::make_unique<net::LinkJitterLatency>(lo, c.latency, c.seed);

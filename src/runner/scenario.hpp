@@ -72,13 +72,12 @@ struct ScenarioConfig {
   sim::Duration duration = sim::minutes(30);
   sim::Duration warmup = sim::minutes(5);
 
-  /// Engine parallelism. shards == 1 (default) runs the classic
-  /// single-queue engine, bit-identical to earlier builds. shards > 1
-  /// partitions cells across per-shard event queues synchronized on the
-  /// minimum per-link latency floor; results are bit-identical for any
-  /// shards/threads value, including latency_jitter and mobility (both
-  /// draw from streams derived purely from stable identifiers, so no
-  /// global RNG ordering is involved).
+  /// Engine parallelism: cells are partitioned across `shards` per-shard
+  /// event queues synchronized on the minimum per-link latency floor (the
+  /// lookahead, hence latency > 0); shards == 1 (default) is one queue.
+  /// Results are bit-identical for any shards/threads value, including
+  /// latency_jitter and mobility (both draw from streams derived purely
+  /// from stable identifiers, so no global RNG ordering is involved).
   int shards = 1;
   /// Worker threads for the sharded engine; 0 = min(shards, hardware).
   /// Never affects results, only wall-clock.
@@ -97,9 +96,7 @@ struct ScenarioConfig {
   /// engine at window barriers instead of buffering every call record to
   /// the end of the run: peak memory stays bounded by the in-flight
   /// working set instead of growing with call count. Aggregates are
-  /// bit-identical to the buffered path. Routes through the sharded
-  /// engine even when shards == 1 (the classic engine has no windows to
-  /// stream at).
+  /// bit-identical to the buffered path, at any shard count.
   bool stream_metrics = false;
 
   // Update-family retry cap (the paper's schemes may retry unboundedly;
@@ -157,8 +154,7 @@ struct ScenarioConfig {
 
 /// Builds the latency model a scenario prescribes: LinkJitterLatency when
 /// latency_jitter > 0 (uniform in [latency - jitter, latency] from
-/// per-link streams), else FixedLatency. Both engines construct their
-/// model through this factory so delays match draw-for-draw.
+/// per-link streams), else FixedLatency.
 [[nodiscard]] std::unique_ptr<net::LatencyModel> make_scenario_latency(
     const ScenarioConfig& config);
 

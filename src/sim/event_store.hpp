@@ -1,7 +1,7 @@
 // Pooled storage for pending simulation events.
 //
-// Both engines (the classic Simulator and the sharded kernel) keep the same
-// per-event state: a callback and a cancellation handle. The old queues
+// Every shard queue of the kernel keeps the same per-event state: a
+// callback and a cancellation handle. The old queues
 // stored the callback inside the heap node (forcing whole-std::function
 // moves on every sift) and tracked cancellation with two unordered_sets
 // (one hash insert on schedule, up to two hash ops on cancel/pop). This

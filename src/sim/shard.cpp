@@ -156,7 +156,7 @@ void ShardedKernel::window_barrier_completion() {
     return;
   }
   if (deadline_ != kTimeNever && gmin + lookahead_ > deadline_) {
-    window_cap_ = deadline_ + 1;  // inclusive deadline, matching Simulator
+    window_cap_ = deadline_ + 1;  // inclusive deadline
   } else {
     window_cap_ = gmin + lookahead_;
   }

@@ -1,10 +1,10 @@
 // Shard-aware deterministically-parallel discrete-event kernel.
 //
-// The classic Simulator (simulator.hpp) executes one global event heap and
-// breaks timestamp ties by insertion order — a total order that exists only
-// on a single thread. This kernel partitions events across shards (cells
-// are mapped to shards; every event is owned by exactly one cell) and
-// replaces insertion-order tie-breaking with a *canonical event key*
+// A single global event heap breaks timestamp ties by insertion order — a
+// total order that exists only on a single thread. This kernel partitions
+// events across shards (cells are mapped to shards; every event is owned by
+// exactly one cell) and replaces insertion-order tie-breaking with a
+// *canonical event key*
 //
 //     (when, owner cell, class, sub, seq)
 //
@@ -45,7 +45,7 @@
 
 namespace dca::sim {
 
-// Canonical event classes, ordered to reproduce the legacy insertion-order
+// Canonical event classes, ordered to reproduce an insertion-order
 // tie-break for the systematic same-instant collisions (see
 // docs/ARCHITECTURE.md "Determinism contract"):
 //   * control (pause/resume timelines) is scheduled far ahead of anything
@@ -76,9 +76,9 @@ struct EventKey {
   friend constexpr auto operator<=>(const EventKey&, const EventKey&) = default;
 };
 
-/// One shard's pending-event set, ordered by canonical key. Same
-/// slab/generation storage as sim::EventQueue (see event_store.hpp): POD
-/// heap entries, pooled callbacks, O(1) generation-bump cancellation.
+/// One shard's pending-event set, ordered by canonical key. Slab/generation
+/// storage (see event_store.hpp): POD heap entries, pooled callbacks, O(1)
+/// generation-bump cancellation.
 class ShardQueue {
  public:
   using Action = EventFn;

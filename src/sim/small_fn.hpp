@@ -4,7 +4,7 @@
 // std::function heap-allocates any capture larger than ~2 pointers, which
 // on the simulation hot path means one malloc/free per scheduled message
 // delivery (a delivery closure carries a ~200-byte net::Message by value).
-// SmallFn reserves enough inline storage for every closure the engines
+// SmallFn reserves enough inline storage for every closure the engine
 // schedule, so the schedule/fire path performs no heap allocation at all;
 // callables that genuinely exceed the buffer (none in-tree — the network
 // layer static_asserts its delivery closures fit) fall back to the heap
@@ -31,18 +31,14 @@
 namespace dca::sim {
 
 /// Inline capture capacity of the event callback. Sized so a message
-/// delivery closure (network pointer + a full net::Message by value) stays
-/// inline; net/network.cpp and runner/shard_world.cpp static_assert this.
+/// delivery closure (world pointer + a full net::Message by value) stays
+/// inline; runner/world.cpp static_asserts this.
 inline constexpr std::size_t kEventFnCapacity = 256;
 
 /// Inline capture capacity of a protocol timer callback (TimerFn): the
 /// AllocatorNode generation-check wrapper around a [this]-style capture.
 /// proto/allocator.hpp static_asserts its wrappers fit.
 inline constexpr std::size_t kTimerFnCapacity = 64;
-
-/// Inline capture capacity of the network delivery/observer hooks (a
-/// [this] capture plus slack for test harness lambdas).
-inline constexpr std::size_t kNetHandlerCapacity = 32;
 
 template <typename Sig, std::size_t Capacity = kEventFnCapacity>
 class SmallFn;  // only the R(Args...) specialization exists
@@ -166,7 +162,7 @@ class SmallFn<R(Args...), Capacity> {
   alignas(std::max_align_t) unsigned char buf_[Capacity];
 };
 
-/// The event-callback type both engines store per scheduled event.
+/// The event-callback type the kernel stores per scheduled event.
 using EventFn = SmallFn<void(), kEventFnCapacity>;
 
 /// The protocol-timer callback type carried across proto::NodeEnv.

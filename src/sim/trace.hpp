@@ -12,7 +12,6 @@
 // schema fixed.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -81,9 +80,8 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// In-memory event sink. Attach one to a World (and through it to the
-/// Network) to capture a run; absent a recorder every emit site is a
-/// no-op, so tracing costs nothing when off.
+/// In-memory event sink. Attach one to a World to capture a run; absent a
+/// recorder every emit site is a no-op, so tracing costs nothing when off.
 ///
 /// Storage is a chunked binary append buffer: emit() writes the POD event
 /// into the tail chunk (fixed 4096-event blocks that never move), so the
@@ -135,28 +133,6 @@ class TraceRecorder {
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
-
-  /// Stable-sorts the buffered events into the canonical (t, cell) order —
-  /// the order the sharded engine's fold merge emits. The classic engine
-  /// records in execution order, which agrees with the canonical order
-  /// except when a same-instant tie spans cells out of ascending order
-  /// (e.g. a transport RTO on one cell against a frame delivery landing on
-  /// a lower-numbered cell). Such ties only ever reorder causally
-  /// unrelated events — cross-cell causality rides on messages, which
-  /// impose at least one latency of separation — so sorting changes the
-  /// observable trace, never the semantics. No-op in sink mode: sinks see
-  /// events as they are recorded.
-  void canonicalize() {
-    if (sink_ || count_ == 0) return;
-    std::vector<TraceEvent> sorted = events();
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.t != b.t ? a.t < b.t : a.cell < b.cell;
-                     });
-    const std::size_t n = count_;
-    clear();
-    for (std::size_t i = 0; i < n; ++i) emit(sorted[i]);
-  }
 
   void clear() {
     chunks_.clear();

@@ -1,61 +1,57 @@
 #include "traffic/generator.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <utility>
+
+#include "sim/random.hpp"
 
 namespace dca::traffic {
 
-TrafficSource::TrafficSource(sim::Simulator& simulator, const cell::HexGrid& grid,
-                             const LoadProfile& profile, double mean_holding_seconds,
-                             std::uint64_t seed, Sink sink)
-    : sim_(simulator),
-      grid_(grid),
-      profile_(profile),
-      mean_holding_(mean_holding_seconds),
-      sink_(std::move(sink)) {
-  assert(mean_holding_ > 0.0);
-  const int n = grid_.n_cells();
-  arrival_rng_.reserve(static_cast<std::size_t>(n));
-  holding_rng_.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    arrival_rng_.push_back(
-        sim::RngStream::derive(seed, static_cast<std::uint64_t>(c)));
-    holding_rng_.push_back(
-        sim::RngStream::derive(seed, static_cast<std::uint64_t>(c + n)));
-  }
-}
-
-void TrafficSource::start(sim::SimTime horizon) {
-  horizon_ = horizon;
-  for (cell::CellId c = 0; c < grid_.n_cells(); ++c) schedule_next(c);
-}
-
-void TrafficSource::schedule_next(cell::CellId c) {
-  auto& rng = arrival_rng_[static_cast<std::size_t>(c)];
-  const double ceiling = profile_.max_rate(c);
-  if (ceiling <= 0.0) return;  // silent cell
-
-  // Draw the next candidate at the ceiling rate; thin on firing.
-  const sim::Duration gap = rng.exponential_gap(ceiling);
-  const sim::SimTime when = sim_.now() + gap;
-  if (when >= horizon_) return;
-
-  sim_.schedule_at(when, [this, c]() {
-    auto& r = arrival_rng_[static_cast<std::size_t>(c)];
-    const double ceiling_now = profile_.max_rate(c);
-    const double accept_p = profile_.rate(c, sim_.now()) / ceiling_now;
-    if (r.uniform() < accept_p) {
-      CallSpec call;
-      call.id = next_id_++;
-      call.cell = c;
-      call.arrival = sim_.now();
-      call.holding = sim::from_seconds(
-          holding_rng_[static_cast<std::size_t>(c)].exponential_mean(mean_holding_));
-      if (call.holding <= 0) call.holding = 1;
-      sink_(call);
+ArrivalTable draw_arrivals(int n_cells, const LoadProfile& profile,
+                           double mean_holding_seconds, std::uint64_t seed,
+                           sim::SimTime horizon) {
+  assert(mean_holding_seconds > 0.0);
+  struct Accepted {
+    sim::SimTime t;
+    cell::CellId c;
+    std::size_t pos;  // index into candidates
+  };
+  ArrivalTable out;
+  std::vector<Accepted> accepted;
+  const auto n = static_cast<std::size_t>(n_cells);
+  out.begin.assign(n + 1, 0);
+  for (cell::CellId c = 0; c < n_cells; ++c) {
+    out.begin[static_cast<std::size_t>(c)] = out.candidates.size();
+    const double ceiling = profile.max_rate(c);
+    if (ceiling <= 0.0) continue;  // silent cell
+    sim::RngStream arrival =
+        sim::RngStream::derive(seed, static_cast<std::uint64_t>(c));
+    sim::RngStream holding =
+        sim::RngStream::derive(seed, static_cast<std::uint64_t>(c + n_cells));
+    sim::SimTime t = 0;
+    for (;;) {
+      t += arrival.exponential_gap(ceiling);
+      if (t >= horizon) break;
+      ArrivalTable::Candidate cand{t, 0, 0};
+      if (arrival.uniform() < profile.rate(c, t) / ceiling) {
+        cand.holding = std::max<sim::Duration>(
+            sim::from_seconds(holding.exponential_mean(mean_holding_seconds)), 1);
+        accepted.push_back(Accepted{t, c, out.candidates.size()});
+      }
+      out.candidates.push_back(cand);
     }
-    schedule_next(c);
-  });
+  }
+  out.begin[n] = out.candidates.size();
+  std::stable_sort(accepted.begin(), accepted.end(),
+                   [](const Accepted& a, const Accepted& b) {
+                     return a.t != b.t ? a.t < b.t : a.c < b.c;
+                   });
+  out.call_cell.reserve(accepted.size());
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    out.call_cell.push_back(accepted[i].c);
+    out.candidates[accepted[i].pos].id = static_cast<CallId>(i + 1);
+  }
+  return out;
 }
 
 }  // namespace dca::traffic

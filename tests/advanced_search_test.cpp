@@ -29,8 +29,8 @@ TEST(AdvancedSearch, StartsColdAndAllocatesOnDemand) {
   }
   const cell::CellId c = testutil::center_cell(cfg);
   offer_call(w, c, 1, sim::seconds(30));
-  w.simulator().run_until(sim::seconds(1));
-  const auto& r = w.collector().records().back();
+  w.run_until(sim::seconds(1));
+  const auto& r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredSearch);
   EXPECT_EQ(r.delay(), 2 * cfg.latency);
   EXPECT_EQ(node_of(w, c).allocated().size(), 1);
@@ -43,20 +43,22 @@ TEST(AdvancedSearch, ChannelStaysAllocatedAfterCallEnds) {
   // Pull in 4 channels from the cold pool, then end all calls.
   for (int i = 0; i < 4; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::seconds(20));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.node(c).in_use().empty());
   EXPECT_EQ(node_of(w, c).allocated().size(), 4)
       << "allocated channels are retained across calls";
   // A follow-up burst of 4 calls is now served entirely locally.
-  const auto msgs_before = w.network().total_sent();
+  const auto msgs_before = w.total_sent();
   for (int i = 0; i < 4; ++i) offer_call(w, c, static_cast<traffic::CallId>(10 + i),
                                          sim::seconds(20));
-  EXPECT_EQ(w.network().total_sent(), msgs_before)
+  EXPECT_EQ(w.total_sent(), msgs_before)
       << "hot spot re-served from the allocated set at zero cost";
-  for (const auto& r : w.collector().records()) {
-    if (r.call >= 10) EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
+  for (const auto& r : w.records()) {
+    if (r.call >= 10) {
+      EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
+    }
   }
 }
 
@@ -65,13 +67,13 @@ TEST(AdvancedSearch, AllocatedHitIsInstantAndFree) {
   World w(cfg, Scheme::kAdvancedSearch);
   const cell::CellId c = testutil::center_cell(cfg);
   offer_call(w, c, 1, sim::seconds(5));  // allocates via search
-  w.simulator().run_to_quiescence();     // ends; channel stays allocated
-  const auto msgs = w.network().total_sent();
+  w.run_to_quiescence();     // ends; channel stays allocated
+  const auto msgs = w.total_sent();
   offer_call(w, c, 2, sim::seconds(5));
-  const auto& r = w.collector().records().back();
+  const auto& r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
-  EXPECT_EQ(w.network().total_sent(), msgs);
+  EXPECT_EQ(w.total_sent(), msgs);
 }
 
 TEST(AdvancedSearch, AllocationsOfInterferingCellsStayDisjoint) {
@@ -81,9 +83,9 @@ TEST(AdvancedSearch, AllocationsOfInterferingCellsStayDisjoint) {
   for (int wave = 0; wave < 5; ++wave) {
     for (cell::CellId c = 0; c < w.grid().n_cells(); c += 2)
       offer_call(w, c, id++, sim::seconds(45));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(12));
+    w.run_until(w.now() + sim::seconds(12));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_EQ(w.interference_violations(), 0u);
   EXPECT_TRUE(w.quiescent());
   for (cell::CellId a = 0; a < w.grid().n_cells(); ++a) {
@@ -105,9 +107,9 @@ TEST(AdvancedSearch, TransferMovesIdleAllocatedChannel) {
     for (const cell::CellId j : w.grid().interference(hot)) {
       offer_call(w, j, id++, sim::seconds(25));
     }
-    w.simulator().run_until(w.simulator().now() + sim::seconds(6));
+    w.run_until(w.now() + sim::seconds(6));
   }
-  w.simulator().run_to_quiescence();  // all calls ended; allocations remain
+  w.run_to_quiescence();  // all calls ended; allocations remain
   const cell::ChannelSet region = node_of(w, hot).region_allocated();
   ASSERT_EQ(region.size(), cfg.n_channels)
       << "setup: the whole spectrum is allocated somewhere in the region";
@@ -116,12 +118,12 @@ TEST(AdvancedSearch, TransferMovesIdleAllocatedChannel) {
   // elsewhere: every request must succeed via TRANSFER of idle allocated
   // channels.
   for (int i = 0; i < 4; ++i) offer_call(w, hot, id++, sim::minutes(2));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
-  const auto& r = w.collector().records().back();
+  w.run_until(w.now() + sim::seconds(5));
+  const auto& r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate)
       << "transfer outcome is classified as update-style";
   EXPECT_EQ(node_of(w, hot).transfers_in(), 4u);
-  EXPECT_GT(w.network().sent_of(net::MsgKind::kTransfer), 0u);
+  EXPECT_GT(w.sent_of(net::MsgKind::kTransfer), 0u);
   EXPECT_EQ(w.interference_violations(), 0u);
 }
 
@@ -139,7 +141,7 @@ TEST(AdvancedSearch, ConcurrentSearchersNeverAllocateSameChannel) {
   for (int i = 0; i < 4; ++i) {
     offer_call(w, a, id++, sim::minutes(10));
     offer_call(w, b, id++, sim::minutes(10));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(2));
+    w.run_until(w.now() + sim::seconds(2));
   }
   EXPECT_EQ(w.interference_violations(), 0u);
   EXPECT_FALSE(node_of(w, a).allocated().intersects(node_of(w, b).allocated()));
@@ -159,9 +161,9 @@ TEST(AdvancedSearch, OwnerDeniesBusyOrDoublyRequestedChannel) {
       offer_call(w, hot1, id++, sim::seconds(40));
       offer_call(w, hot2, id++, sim::seconds(40));
     }
-    w.simulator().run_until(w.simulator().now() + sim::seconds(10));
+    w.run_until(w.now() + sim::seconds(10));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
 }
@@ -172,13 +174,13 @@ TEST(AdvancedSearch, BlocksWhenRegionFullyBusy) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 21; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   EXPECT_EQ(w.node(c).in_use().size(), 21);
   offer_call(w, c, 99, sim::minutes(30));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(2));
-  EXPECT_FALSE(proto::is_acquired(w.collector().records().back().outcome));
-  w.simulator().run_to_quiescence();
+  w.run_until(w.now() + sim::seconds(2));
+  EXPECT_FALSE(proto::is_acquired(w.records().back().outcome));
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
 }
 

@@ -25,14 +25,14 @@ TEST(AdvancedUpdate, PrimaryAcquisitionIsInstantWithBroadcastOnly) {
   const cell::CellId c = testutil::center_cell(cfg);
   const auto N = w.grid().interference(c).size();
   offer_call(w, c, 1, sim::seconds(10));
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto& r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), N);  // the ACQUISITION broadcast
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   // Plus the RELEASE broadcast at call end: the paper's 2N term.
-  EXPECT_EQ(w.collector().records()[0].total_messages(), 2 * N);
+  EXPECT_EQ(w.records()[0].total_messages(), 2 * N);
 }
 
 TEST(AdvancedUpdate, BorrowAsksOnlyPrimariesOfTheChannel) {
@@ -42,13 +42,13 @@ TEST(AdvancedUpdate, BorrowAsksOnlyPrimariesOfTheChannel) {
   // Exhaust c's own primaries, then one more call forces a borrow.
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(5));
-  w.simulator().run_until(sim::seconds(1));
-  const auto before_requests = w.network().sent_of(net::MsgKind::kRequest);
+  w.run_until(sim::seconds(1));
+  const auto before_requests = w.sent_of(net::MsgKind::kRequest);
   offer_call(w, c, 10, sim::minutes(5));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+  w.run_until(w.now() + sim::seconds(1));
   const auto requests =
-      w.network().sent_of(net::MsgKind::kRequest) - before_requests;
-  const auto& r = w.collector().records().back();
+      w.sent_of(net::MsgKind::kRequest) - before_requests;
+  const auto& r = w.records().back();
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate);
   // n_p primaries of a channel within radius 2 is small (2-3), far below
   // the 18-cell region the basic schemes broadcast to.
@@ -65,21 +65,21 @@ TEST(AdvancedUpdate, PrimaryOwnerRejectsItsBusyChannel) {
   // could borrow: we occupy the whole region from the center itself.
   for (int i = 0; i < 3; ++i) offer_call(w, c, static_cast<traffic::CallId>(i + 1),
                                          sim::minutes(30));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
   // Fill the interference neighbours' primaries too, so their owners say no.
   traffic::CallId id = 100;
   for (const cell::CellId j : w.grid().interference(c)) {
     for (int i = 0; i < 3; ++i) {
       offer_call(w, j, id++, sim::minutes(30));
-      w.simulator().run_until(w.simulator().now() + sim::milliseconds(200));
+      w.run_until(w.now() + sim::milliseconds(200));
     }
   }
-  w.simulator().run_until(w.simulator().now() + sim::seconds(2));
+  w.run_until(w.now() + sim::seconds(2));
   EXPECT_EQ(w.interference_violations(), 0u);
   // Another request at the center now has no free channel anywhere nearby.
   offer_call(w, c, 999, sim::minutes(5));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
-  const auto& last = w.collector().records().back();
+  w.run_until(w.now() + sim::seconds(5));
+  const auto& last = w.records().back();
   EXPECT_FALSE(proto::is_acquired(last.outcome));
 }
 
@@ -94,12 +94,12 @@ TEST(AdvancedUpdate, ConcurrentBorrowersNeverCollide) {
     offer_call(w, a, id++, sim::minutes(30));
     offer_call(w, b, id++, sim::minutes(30));
   }
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
   // Both borrow simultaneously, repeatedly.
   for (int round = 0; round < 5; ++round) {
     offer_call(w, a, id++, sim::minutes(30));
     offer_call(w, b, id++, sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(2));
+    w.run_until(w.now() + sim::seconds(2));
   }
   EXPECT_EQ(w.interference_violations(), 0u);
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
@@ -133,7 +133,7 @@ TEST(AdvancedUpdate, Fig11TimestampInversionUnfairness) {
     if (j != c1) latency->set(c1, j, sim::milliseconds(40));
     if (j != c2) latency->set(c2, j, sim::milliseconds(1));
   }
-  World w(cfg, Scheme::kAdvancedUpdate, std::move(latency));
+  World w(cfg, Scheme::kAdvancedUpdate, nullptr, std::move(latency));
 
   // Exhaust both requesters' primaries so their next request borrows.
   traffic::CallId id = 1;
@@ -141,17 +141,17 @@ TEST(AdvancedUpdate, Fig11TimestampInversionUnfairness) {
     offer_call(w, c1, id++, sim::minutes(30));
     offer_call(w, c2, id++, sim::minutes(30));
   }
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
 
   // Saturate all but one borrowable colour from c1's perspective... the
   // simplest deterministic trigger: both borrow at nearly the same time,
   // c1 strictly first (lower Lamport timestamp), c2's request arriving
   // first at the shared primaries.
   offer_call(w, c1, 100, sim::minutes(30));
-  w.simulator().schedule_in(sim::milliseconds(2), [&w, c2] {
+  w.schedule_in(c2, sim::milliseconds(2), [&w, c2] {
     testutil::offer_call(w, c2, 200, sim::minutes(30));
   });
-  w.simulator().run_until(w.simulator().now() + sim::seconds(30));
+  w.run_until(w.now() + sim::seconds(30));
 
   EXPECT_EQ(w.interference_violations(), 0u);
   // Count conditional-grant failures across all nodes: the unfairness
@@ -167,7 +167,7 @@ TEST(AdvancedUpdate, Fig11TimestampInversionUnfairness) {
   // exact channel picks are randomized; assert the mechanism rather than
   // the single run: either a conditional failure occurred, or the two
   // requests never picked the same channel (in which case both succeeded).
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   bool both_succeeded = true;
   for (const auto& r : recs) {
     if ((r.call == 100 || r.call == 200) && !proto::is_acquired(r.outcome))

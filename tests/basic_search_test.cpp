@@ -21,10 +21,10 @@ TEST(BasicSearch, SoloAcquisitionTakes2TAndOneRound) {
   const cell::CellId c = testutil::center_cell(cfg);
   const auto N = w.grid().interference(c).size();
   offer_call(w, c, 1, sim::minutes(1));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
 
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto& r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredSearch);
   // Round trip: request out (T) + replies back (T).
   EXPECT_EQ(r.delay(), 2 * cfg.latency);
@@ -40,8 +40,8 @@ TEST(BasicSearch, NoReleaseMessagesAtCallEnd) {
   const auto cfg = small_config();
   World w(cfg, Scheme::kBasicSearch);
   offer_call(w, testutil::center_cell(cfg), 1, sim::seconds(5));
-  w.simulator().run_to_quiescence();
-  EXPECT_EQ(w.network().sent_of(net::MsgKind::kRelease), 0u);
+  w.run_to_quiescence();
+  EXPECT_EQ(w.sent_of(net::MsgKind::kRelease), 0u);
   EXPECT_TRUE(w.quiescent());
 }
 
@@ -54,9 +54,9 @@ TEST(BasicSearch, ConcurrentNeighborsPickDistinctChannels) {
   // sequentialize them.
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
-  w.simulator().run_until(sim::seconds(2));
-  ASSERT_EQ(w.collector().records().size(), 2u);
-  for (const auto& r : w.collector().records()) {
+  w.run_until(sim::seconds(2));
+  ASSERT_EQ(w.records().size(), 2u);
+  for (const auto& r : w.records()) {
     EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredSearch);
   }
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
@@ -70,8 +70,8 @@ TEST(BasicSearch, YoungerConcurrentSearchIsDeferredAndSlower) {
   const cell::CellId b = w.grid().neighbors(a)[0];
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
-  w.simulator().run_until(sim::seconds(2));
-  const auto& recs = w.collector().records();
+  w.run_until(sim::seconds(2));
+  const auto& recs = w.records();
   // One of the two finished in 2T; the other had its reply deferred and
   // needed strictly longer.
   const auto d0 = recs[0].delay(), d1 = recs[1].delay();
@@ -87,10 +87,10 @@ TEST(BasicSearch, FindsChannelWheneverOneExists) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 20; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(10));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   int acquired = 0;
-  for (const auto& r : w.collector().records())
+  for (const auto& r : w.records())
     if (proto::is_acquired(r.outcome)) ++acquired;
   EXPECT_EQ(acquired, 20);
   EXPECT_EQ(w.node(c).in_use().size(), 20);
@@ -102,15 +102,15 @@ TEST(BasicSearch, BlocksWhenRegionExhausted) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 21; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(10));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   // All 21 channels used in the cell itself: the 22nd must fail.
   offer_call(w, c, 99, sim::minutes(10));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
-  EXPECT_EQ(w.collector().records().back().outcome,
+  w.run_until(w.now() + sim::seconds(1));
+  EXPECT_EQ(w.records().back().outcome,
             proto::Outcome::kBlockedNoChannel);
   // A failed search still announces, so no waiting counter leaks.
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
 }
 
@@ -121,7 +121,7 @@ TEST(BasicSearch, SearcherStateVisible) {
   EXPECT_FALSE(w.node(c).is_searching());
   offer_call(w, c, 1, sim::minutes(1));
   EXPECT_TRUE(w.node(c).is_searching());
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
   EXPECT_FALSE(w.node(c).is_searching());
 }
 
@@ -136,7 +136,7 @@ TEST(BasicSearch, NonInterferingCellsMayShareAChannel) {
   // should be able to pick the same lowest channel id.
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
   EXPECT_TRUE(w.node(a).in_use().intersects(w.node(b).in_use()))
       << "far-apart cells should reuse the same channel";
   EXPECT_EQ(w.interference_violations(), 0u);

@@ -21,10 +21,10 @@ TEST(BasicUpdate, SoloAcquisitionCostsOneHandshakePlusBroadcasts) {
   const cell::CellId c = testutil::center_cell(cfg);
   const auto N = w.grid().interference(c).size();
   offer_call(w, c, 1, sim::seconds(10));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
 
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto& r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredUpdate);
   EXPECT_EQ(r.attempts, 1);
   EXPECT_EQ(r.delay(), 2 * cfg.latency);  // 2Tm with m = 1
@@ -32,8 +32,8 @@ TEST(BasicUpdate, SoloAcquisitionCostsOneHandshakePlusBroadcasts) {
   EXPECT_EQ(r.total_messages(), 3 * N);
 
   // After the call ends, the RELEASE broadcast completes Table 2's 4N.
-  w.simulator().run_to_quiescence();
-  EXPECT_EQ(w.collector().records()[0].total_messages(), 4 * N);
+  w.run_to_quiescence();
+  EXPECT_EQ(w.records()[0].total_messages(), 4 * N);
 }
 
 TEST(BasicUpdate, NeighborsLearnUsageThroughBroadcasts) {
@@ -41,7 +41,7 @@ TEST(BasicUpdate, NeighborsLearnUsageThroughBroadcasts) {
   World w(cfg, Scheme::kBasicUpdate);
   const cell::CellId c = testutil::center_cell(cfg);
   offer_call(w, c, 1, sim::seconds(30));
-  w.simulator().run_until(sim::seconds(1));
+  w.run_until(sim::seconds(1));
   const cell::ChannelId ch = w.node(c).in_use().first();
   ASSERT_NE(ch, cell::kNoChannel);
   for (const cell::CellId j : w.grid().interference(c)) {
@@ -49,7 +49,7 @@ TEST(BasicUpdate, NeighborsLearnUsageThroughBroadcasts) {
     EXPECT_TRUE(nb.interfered().contains(ch)) << "neighbor " << j;
   }
   // ... and forget it again after the release.
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   for (const cell::CellId j : w.grid().interference(c)) {
     const auto& nb = dynamic_cast<const proto::BasicUpdateNode&>(w.node(j));
     EXPECT_FALSE(nb.interfered().contains(ch));
@@ -65,8 +65,8 @@ TEST(BasicUpdate, SameChannelConflictGoesToOlderTimestamp) {
   const cell::CellId b = w.grid().neighbors(a)[0];
   offer_call(w, a, 1, sim::minutes(1));
   offer_call(w, b, 2, sim::minutes(1));
-  w.simulator().run_until(sim::seconds(2));
-  for (const auto& r : w.collector().records())
+  w.run_until(sim::seconds(2));
+  for (const auto& r : w.records())
     EXPECT_TRUE(proto::is_acquired(r.outcome));
   EXPECT_FALSE(w.node(a).in_use().intersects(w.node(b).in_use()));
   EXPECT_EQ(w.interference_violations(), 0u);
@@ -81,7 +81,7 @@ TEST(BasicUpdate, RetriesConsumeAttemptsUnderContention) {
   // Occupy 18 of 21 channels in the center cell.
   for (int i = 0; i < 18; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   // Now two interfering neighbours contend for the remaining 3 channels.
   const cell::CellId a = w.grid().neighbors(c)[0];
@@ -90,10 +90,10 @@ TEST(BasicUpdate, RetriesConsumeAttemptsUnderContention) {
     offer_call(w, a, static_cast<traffic::CallId>(100 + i), sim::minutes(30));
     offer_call(w, b, static_cast<traffic::CallId>(200 + i), sim::minutes(30));
   }
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
+  w.run_until(w.now() + sim::seconds(5));
   EXPECT_EQ(w.interference_violations(), 0u);
   int acquired = 0, failed = 0;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     if (r.call >= 100) (proto::is_acquired(r.outcome) ? acquired : failed)++;
   }
   // Only 3 channels were left for 6 requests in one interference region.
@@ -107,12 +107,12 @@ TEST(BasicUpdate, BlocksLocallyWhenNothingBelievedFree) {
   const cell::CellId c = testutil::center_cell(cfg);
   for (int i = 0; i < 21; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   EXPECT_EQ(w.node(c).in_use().size(), 21);
   offer_call(w, c, 99, sim::minutes(30));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(1));
-  const auto& last = w.collector().records().back();
+  w.run_until(w.now() + sim::seconds(1));
+  const auto& last = w.records().back();
   EXPECT_EQ(last.outcome, proto::Outcome::kBlockedNoChannel);
   EXPECT_EQ(last.total_messages(), 0u) << "local information suffices to fail fast";
 }
@@ -126,7 +126,7 @@ TEST(BasicUpdate, StarvationCapReportsStarved) {
   // believes exactly one channel free.
   for (int i = 0; i < 20; ++i) {
     offer_call(w, c, static_cast<traffic::CallId>(i + 1), sim::minutes(30));
-    w.simulator().run_until(w.simulator().now() + sim::seconds(1));
+    w.run_until(w.now() + sim::seconds(1));
   }
   // Two interfering neighbours race for that single channel: both must
   // pick it, the older timestamp wins, and with the retry cap at 1 the
@@ -136,9 +136,9 @@ TEST(BasicUpdate, StarvationCapReportsStarved) {
   ASSERT_TRUE(w.grid().interferes(a, b));
   offer_call(w, a, 100, sim::minutes(1));
   offer_call(w, b, 200, sim::minutes(1));
-  w.simulator().run_until(w.simulator().now() + sim::seconds(5));
+  w.run_until(w.now() + sim::seconds(5));
   int acquired = 0, starved = 0;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     if (r.call < 100) continue;
     if (proto::is_acquired(r.outcome)) ++acquired;
     if (r.outcome == proto::Outcome::kBlockedStarved) ++starved;
@@ -155,7 +155,7 @@ TEST(BasicUpdate, QuiescenceAfterLoad) {
   for (cell::CellId c = 0; c < w.grid().n_cells(); c += 3) {
     offer_call(w, c, id++, sim::seconds(20));
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
   EXPECT_EQ(w.interference_violations(), 0u);
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c)

@@ -1,12 +1,12 @@
-// Crash-recovery fault model: determinism across engines, availability
+// Crash-recovery fault model: determinism across shard counts, availability
 // accounting, graceful degradation, and conformance through crashes.
 //
 // The acceptance bar for the fault model is the same as for every other
 // subsystem: simulation outputs are a pure function of the scenario. A
 // crash schedule, a partition timeline, and the resync protocol all ride
-// on seed-derived streams and canonically keyed events, so the sharded
-// engine must reproduce the classic engine bit for bit even while cells
-// crash mid-search and partitions sever the control plane.
+// on seed-derived streams and canonically keyed events, so every shard
+// and thread count must reproduce the one-shard run bit for bit even while
+// cells crash mid-search and partitions sever the control plane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -79,7 +79,7 @@ void expect_same_result(const RunResult& a, const RunResult& b,
 }
 
 // The tentpole guarantee: the crash/partition/resync machinery is
-// engine-invariant — classic vs shards=2/4 x threads=1/4, full structured
+// shard-count invariant — one shard vs shards=2/4 x threads=1/4, full structured
 // trace compared event for event, with the entire cocktail active.
 TEST(CrashRecovery, ShardedEngineMatchesClassicThroughCrashes) {
   const runner::ScenarioConfig cfg = cocktail_config();
@@ -100,7 +100,7 @@ TEST(CrashRecovery, ShardedEngineMatchesClassicThroughCrashes) {
         cs.threads = threads;
         sim::TraceRecorder recs;
         const RunResult rs = runner::run_uniform(cs, s, 0.8, &recs);
-        expect_same_result(r1, rs, "classic vs sharded");
+        expect_same_result(r1, rs, "1 shard vs N shards");
         EXPECT_EQ(rec1.events(), recs.events()) << "full merged trace";
       }
     }
@@ -184,7 +184,7 @@ TEST(CrashRecovery, ConformanceHoldsThroughTheCocktail) {
 
 // A partition without crashes: severed frames show up as drops, the
 // reliable transport rides out the outage, and the run still drains and
-// matches across engines. Basic search asks every interference neighbour
+// matches across shard counts. Basic search asks every interference neighbour
 // on every arrival, so cross-cut frames are guaranteed (adaptive would
 // sit in local mode at this load and never touch the cut).
 TEST(CrashRecovery, PartitionSeversAndHeals) {
@@ -208,7 +208,7 @@ TEST(CrashRecovery, PartitionSeversAndHeals) {
   sim::TraceRecorder rec4;
   const RunResult r4 =
       runner::run_uniform(cs, Scheme::kBasicSearch, 0.8, &rec4);
-  expect_same_result(r1, r4, "partition, classic vs sharded");
+  expect_same_result(r1, r4, "partition, 1 shard vs 4 shards");
   EXPECT_EQ(rec1.events(), rec4.events());
 }
 

@@ -91,8 +91,8 @@ TEST(Determinism, FaultInjectedRunReplaysBitIdentically) {
 }
 
 // The tentpole guarantee: partitioning the world across shards (and any
-// worker thread count) reproduces the classic single-queue engine bit for
-// bit — headline metrics, FP aggregates, and the full structured trace.
+// worker thread count) reproduces the one-shard run bit for bit — headline
+// metrics, FP aggregates, and the full structured trace.
 TEST(Determinism, ShardedEngineMatchesClassicBitExactly) {
   const runner::ScenarioConfig cfg = small_config();
   for (const Scheme s : {Scheme::kBasicSearch, Scheme::kAdaptive}) {
@@ -122,7 +122,7 @@ TEST(Determinism, ShardedEngineMatchesClassicBitExactly) {
 // candidates are rejected: those still execute as events and consume the
 // arrival stream without drawing a holding time. The uniform-load tests
 // above accept every candidate; this one pins the rejected path in every
-// engine — classic, streaming on one shard, and four shards on two
+// mode — buffered and streaming on one shard, and four shards on two
 // threads — headline metrics and full trace alike.
 TEST(Determinism, HotspotRunMatchesAcrossEnginesBitExactly) {
   runner::ScenarioConfig cfg = small_config();
@@ -133,8 +133,8 @@ TEST(Determinism, HotspotRunMatchesAcrossEnginesBitExactly) {
     return runner::run_hotspot(c, Scheme::kAdaptive, 0.5, 4.0, sim::minutes(1),
                                sim::minutes(2), {7, 12, 13}, rec);
   };
-  sim::TraceRecorder rec_classic, rec_stream, rec_sharded;
-  const RunResult classic = run(cfg, &rec_classic);
+  sim::TraceRecorder rec_one, rec_stream, rec_sharded;
+  const RunResult one = run(cfg, &rec_one);
 
   runner::ScenarioConfig streaming = cfg;
   streaming.stream_metrics = true;
@@ -145,11 +145,11 @@ TEST(Determinism, HotspotRunMatchesAcrossEnginesBitExactly) {
   sharded.threads = 2;
   const RunResult shard4 = run(sharded, &rec_sharded);
 
-  expect_same_result(classic, stream, "classic vs streaming, shards=1");
-  expect_same_result(classic, shard4, "classic vs shards=4");
-  ASSERT_GT(rec_classic.size(), 0u);
-  EXPECT_EQ(rec_classic.events(), rec_stream.events()) << "streamed trace";
-  EXPECT_EQ(rec_classic.events(), rec_sharded.events()) << "merged trace";
+  expect_same_result(one, stream, "buffered vs streaming, shards=1");
+  expect_same_result(one, shard4, "shards=1 vs shards=4");
+  ASSERT_GT(rec_one.size(), 0u);
+  EXPECT_EQ(rec_one.events(), rec_stream.events()) << "streamed trace";
+  EXPECT_EQ(rec_one.events(), rec_sharded.events()) << "merged trace";
   EXPECT_TRUE(stream.conformance_ok());
 }
 
@@ -185,7 +185,7 @@ TEST(Determinism, ShardedEngineMatchesClassicUnderFaults) {
 // dropped, heavy duplication, jitter wider than the base latency, plus
 // MSS pauses) drives the flat per-link rings hard — deep retransmit
 // windows, long reorder runs, pause backlogs — and the full structured
-// trace must still match the classic engine event for event at every
+// trace must still match the one-shard run event for event at every
 // shard count.
 TEST(Determinism, LinkTableSurvivesFullFaultCocktailBitExactly) {
   runner::ScenarioConfig cfg = small_config();
@@ -214,7 +214,7 @@ TEST(Determinism, LinkTableSurvivesFullFaultCocktailBitExactly) {
       cs.threads = 0;
       sim::TraceRecorder recs;
       const RunResult rs = runner::run_uniform(cs, s, 0.9, &recs);
-      expect_same_result(r1, rs, "stress cocktail, classic vs sharded");
+      expect_same_result(r1, rs, "stress cocktail, 1 shard vs N shards");
       EXPECT_EQ(rec1.events(), recs.events())
           << "full trace must be identical at shards=" << shards;
     }

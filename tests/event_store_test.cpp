@@ -1,4 +1,4 @@
-// Property tests for the slab/generation event store behind EventQueue:
+// Property tests for the slab/generation event store behind ShardQueue:
 // a randomized interleaving of schedule/cancel/pop is checked against a
 // naive reference model (a vector ordered by stable (when, seq) sort),
 // and a cancellation-stress run asserts the pool and heap stay O(live)
@@ -8,13 +8,40 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/shard.hpp"
 #include "sim/types.hpp"
 
 namespace dca::sim {
 namespace {
+
+/// ShardQueue keyed the way a cell's own events are: the scheduling
+/// counter breaks same-instant ties, so order is (when, schedule order).
+class Queue {
+ public:
+  template <typename F>
+  EventId schedule(SimTime when, F&& f) {
+    EventKey key;
+    key.when = when;
+    key.seq = ++seq_;
+    return q_.schedule(key, std::forward<F>(f));
+  }
+  void cancel(EventId id) { q_.cancel(id); }
+  [[nodiscard]] bool empty() const { return q_.empty(); }
+  [[nodiscard]] std::size_t size() const { return q_.size(); }
+  [[nodiscard]] SimTime next_time() {
+    return q_.empty() ? kTimeNever : q_.next_key().when;
+  }
+  ShardQueue::Fired pop() { return q_.pop(); }
+  [[nodiscard]] std::size_t pool_capacity() const { return q_.pool_capacity(); }
+  [[nodiscard]] std::size_t heap_entries() const { return q_.heap_entries(); }
+
+ private:
+  ShardQueue q_;
+  std::uint64_t seq_ = 0;
+};
 
 // Reference model: every schedule appends one record; pops pick the
 // earliest live record by the same strict total order the queue promises,
@@ -84,7 +111,7 @@ TEST(EventStoreProperty, RandomInterleavingMatchesReferenceModel) {
   std::uniform_int_distribution<SimTime> when_dist(0, 500);
   std::uniform_int_distribution<int> op_dist(0, 9);
 
-  EventQueue q;
+  Queue q;
   Model model;
   std::vector<int> fired_q;
   std::vector<int> fired_model;
@@ -130,7 +157,7 @@ TEST(EventStoreProperty, RandomInterleavingMatchesReferenceModel) {
 }
 
 TEST(EventStoreProperty, HandlesFromFiredEventsAreInert) {
-  EventQueue q;
+  Queue q;
   int fired = 0;
   const EventId a = q.schedule(10, [&] { ++fired; });
   const EventId b = q.schedule(20, [&] { ++fired; });
@@ -145,7 +172,7 @@ TEST(EventStoreProperty, HandlesFromFiredEventsAreInert) {
 }
 
 TEST(EventStoreStress, PoolAndHeapStayBoundedUnderCancelChurn) {
-  EventQueue q;
+  Queue q;
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<SimTime> when_dist(0, 1'000'000);
 

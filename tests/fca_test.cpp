@@ -18,21 +18,21 @@ TEST(Fca, AcquiresInstantlyWithZeroMessages) {
   World w(small_config(), Scheme::kFca);
   offer_call(w, testutil::center_cell(small_config()), 1, sim::seconds(30));
   // Decision must have been synchronous: record closed at t = 0.
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& r = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto& r = w.records()[0];
   EXPECT_EQ(r.outcome, proto::Outcome::kAcquiredLocal);
   EXPECT_EQ(r.delay(), 0);
   EXPECT_EQ(r.total_messages(), 0u);
-  EXPECT_EQ(w.network().total_sent(), 0u);
+  EXPECT_EQ(w.total_sent(), 0u);
 }
 
 TEST(Fca, ServesExactlyPrimarySetSize) {
   const auto cfg = small_config();  // 21 channels / 7 colours = 3 primaries
   World w(cfg, Scheme::kFca);
   const cell::CellId c = testutil::center_cell(cfg);
-  for (int i = 0; i < 5; ++i) offer_call(w, c, 100 + i, sim::minutes(5));
+  for (traffic::CallId i = 0; i < 5; ++i) offer_call(w, c, 100 + i, sim::minutes(5));
   int ok = 0, blocked = 0;
-  for (const auto& r : w.collector().records()) {
+  for (const auto& r : w.records()) {
     (proto::is_acquired(r.outcome) ? ok : blocked)++;
   }
   EXPECT_EQ(ok, 3);
@@ -45,8 +45,8 @@ TEST(Fca, BlockedEvenWhenNeighborhoodIdle) {
   const auto cfg = small_config();
   World w(cfg, Scheme::kFca);
   const cell::CellId c = testutil::center_cell(cfg);
-  for (int i = 0; i < 4; ++i) offer_call(w, c, i + 1, sim::minutes(5));
-  const auto& recs = w.collector().records();
+  for (traffic::CallId i = 0; i < 4; ++i) offer_call(w, c, i + 1, sim::minutes(5));
+  const auto& recs = w.records();
   ASSERT_EQ(recs.size(), 4u);
   EXPECT_EQ(recs[3].outcome, proto::Outcome::kBlockedNoChannel);
   // Meanwhile the rest of the system is completely idle.
@@ -63,10 +63,10 @@ TEST(Fca, ReleaseMakesChannelReusable) {
   offer_call(w, c, 2, sim::seconds(10));
   offer_call(w, c, 3, sim::seconds(10));
   EXPECT_EQ(w.node(c).in_use().size(), 3);
-  w.simulator().run_to_quiescence();  // calls end, channels released
+  w.run_to_quiescence();  // calls end, channels released
   EXPECT_TRUE(w.node(c).in_use().empty());
   offer_call(w, c, 4, sim::seconds(10));
-  EXPECT_EQ(w.collector().records().back().outcome, proto::Outcome::kAcquiredLocal);
+  EXPECT_EQ(w.records().back().outcome, proto::Outcome::kAcquiredLocal);
 }
 
 TEST(Fca, NeighborsReusePatternNeverInterferes) {
@@ -82,7 +82,7 @@ TEST(Fca, NeighborsReusePatternNeverInterferes) {
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c) {
     EXPECT_EQ(w.node(c).in_use().size(), 3);
   }
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_TRUE(w.quiescent());
 }
 
@@ -90,7 +90,7 @@ TEST(Fca, UsesOnlyOwnPrimaries) {
   const auto cfg = small_config();
   World w(cfg, Scheme::kFca);
   const cell::CellId c = 7;
-  for (int i = 0; i < 3; ++i) offer_call(w, c, i + 1, sim::minutes(1));
+  for (traffic::CallId i = 0; i < 3; ++i) offer_call(w, c, i + 1, sim::minutes(1));
   const auto used = w.node(c).in_use();
   EXPECT_TRUE((used - w.plan().primary(c)).empty());
 }

@@ -1,15 +1,16 @@
 // Unit tests for the network substrate: timestamps, latency models,
-// message delivery, counters, and the observer hook.
+// message delivery through the world's links, and the message counters.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "cell/grid.hpp"
 #include "net/latency.hpp"
 #include "net/message.hpp"
-#include "net/network.hpp"
 #include "net/timestamp.hpp"
-#include "sim/simulator.hpp"
+#include "runner/world.hpp"
 
 namespace dca::net {
 namespace {
@@ -77,15 +78,33 @@ TEST(Latency, MatrixOverridesPerLink) {
   EXPECT_EQ(l.max_one_way(), 9000);
 }
 
+/// The world's network, driven directly: a one-shard world of basic-update
+/// nodes (which take a RELEASE from a neighbour as "forget that channel"
+/// and never answer it), scripted sends, and a delivery observer.
+struct NetHarness {
+  explicit NetHarness(std::unique_ptr<LatencyModel> latency = nullptr)
+      : world(config(), runner::Scheme::kBasicUpdate, nullptr,
+              latency ? std::move(latency) : std::make_unique<FixedLatency>(100)) {
+    world.set_delivery_observer([this](sim::SimTime t, const Message& m) {
+      delivered.push_back(m);
+      delivered_at.push_back(t);
+    });
+  }
+  static runner::ScenarioConfig config() {
+    runner::ScenarioConfig cfg;  // 8x8, radius 2: cells 0, 1, 2, 9 interfere
+    cfg.latency = 100;
+    return cfg;
+  }
+
+  runner::World world;
+  std::vector<Message> delivered;
+  std::vector<sim::SimTime> delivered_at;
+};
+
 class NetworkFixture : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<FixedLatency>(100)};
-  std::vector<Message> delivered;
-
-  void SetUp() override {
-    net.set_receiver([this](const Message& m) { delivered.push_back(m); });
-  }
+  NetHarness net;
+  std::vector<Message>& delivered = net.delivered;
 
   static Message mk(cell::CellId from, cell::CellId to, MsgKind kind) {
     Message m;
@@ -97,11 +116,12 @@ class NetworkFixture : public ::testing::Test {
 };
 
 TEST_F(NetworkFixture, DeliversAfterLatency) {
-  net.send(mk(0, 1, MsgKind::kRequest));
+  net.world.send(mk(0, 1, MsgKind::kRelease));
   EXPECT_TRUE(delivered.empty());
-  simulator.run_to_quiescence();
+  net.world.run_to_quiescence();
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(simulator.now(), 100);
+  EXPECT_EQ(net.world.now(), 100);
+  EXPECT_EQ(net.delivered_at[0], 100);
   EXPECT_EQ(delivered[0].from, 0);
   EXPECT_EQ(delivered[0].to, 1);
 }
@@ -110,9 +130,9 @@ TEST_F(NetworkFixture, PerLinkFifoWithFixedLatency) {
   for (int i = 0; i < 5; ++i) {
     Message m = mk(0, 1, MsgKind::kRelease);
     m.channel = i;
-    net.send(m);
+    net.world.send(m);
   }
-  simulator.run_to_quiescence();
+  net.world.run_to_quiescence();
   ASSERT_EQ(delivered.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(delivered[static_cast<size_t>(i)].channel, i);
 }
@@ -120,7 +140,7 @@ TEST_F(NetworkFixture, PerLinkFifoWithFixedLatency) {
 TEST(NetworkFifo, JitteredLinkNeverReorders) {
   // A latency model that draws wildly different delays must not let a
   // later send overtake an earlier one on the SAME directed link (the
-  // paper's protocols assume ordered channels; see header comment).
+  // paper's protocols assume ordered channels).
   class SawtoothLatency final : public LatencyModel {
    public:
     sim::Duration delay(cell::CellId, cell::CellId) override {
@@ -129,25 +149,25 @@ TEST(NetworkFifo, JitteredLinkNeverReorders) {
       return (++n_ % 2) ? 1000 : 10;
     }
     [[nodiscard]] sim::Duration max_one_way() const override { return 1000; }
+    [[nodiscard]] sim::Duration min_one_way() const override { return 10; }
 
    private:
     int n_ = 0;
   };
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<SawtoothLatency>()};
-  std::vector<int> order;
-  net.set_receiver([&](const Message& m) { order.push_back(m.channel); });
+  NetHarness net(std::make_unique<SawtoothLatency>());
   for (int i = 0; i < 10; ++i) {
     Message m;
     m.kind = MsgKind::kRelease;
     m.from = 0;
     m.to = 1;
     m.channel = i;
-    net.send(m);
+    net.world.send(m);
   }
-  simulator.run_to_quiescence();
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  net.world.run_to_quiescence();
+  ASSERT_EQ(net.delivered.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(net.delivered[static_cast<size_t>(i)].channel, i);
+  }
 }
 
 TEST(NetworkFifo, DifferentLinksStillRace) {
@@ -159,54 +179,52 @@ TEST(NetworkFifo, DifferentLinksStillRace) {
       return to == 1 ? 1000 : 10;
     }
     [[nodiscard]] sim::Duration max_one_way() const override { return 1000; }
+    [[nodiscard]] sim::Duration min_one_way() const override { return 10; }
   };
-  sim::Simulator simulator;
-  Network net{simulator, std::make_unique<PerDestLatency>()};
-  std::vector<cell::CellId> order;
-  net.set_receiver([&](const Message& m) { order.push_back(m.to); });
+  NetHarness net(std::make_unique<PerDestLatency>());
   Message slow;
   slow.kind = MsgKind::kRelease;
   slow.from = 0;
   slow.to = 1;
-  net.send(slow);
+  net.world.send(slow);
   Message fast = slow;
   fast.to = 2;
-  net.send(fast);
-  simulator.run_to_quiescence();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2) << "cross-link overtaking is allowed";
-  EXPECT_EQ(order[1], 1);
+  net.world.send(fast);
+  net.world.run_to_quiescence();
+  ASSERT_EQ(net.delivered.size(), 2u);
+  EXPECT_EQ(net.delivered[0].to, 2) << "cross-link overtaking is allowed";
+  EXPECT_EQ(net.delivered[1].to, 1);
 }
 
 TEST_F(NetworkFixture, CountersByKind) {
-  net.send(mk(0, 1, MsgKind::kRequest));
-  net.send(mk(1, 0, MsgKind::kResponse));
-  net.send(mk(1, 2, MsgKind::kResponse));
-  EXPECT_EQ(net.total_sent(), 3u);
-  EXPECT_EQ(net.sent_of(MsgKind::kRequest), 1u);
-  EXPECT_EQ(net.sent_of(MsgKind::kResponse), 2u);
-  EXPECT_EQ(net.sent_of(MsgKind::kAcquisition), 0u);
-  net.reset_counters();
-  EXPECT_EQ(net.total_sent(), 0u);
+  net.world.send(mk(0, 1, MsgKind::kRequest));
+  net.world.send(mk(1, 0, MsgKind::kResponse));
+  net.world.send(mk(1, 2, MsgKind::kResponse));
+  EXPECT_EQ(net.world.total_sent(), 3u);
+  EXPECT_EQ(net.world.sent_of(MsgKind::kRequest), 1u);
+  EXPECT_EQ(net.world.sent_of(MsgKind::kResponse), 2u);
+  EXPECT_EQ(net.world.sent_of(MsgKind::kAcquisition), 0u);
 }
 
 TEST_F(NetworkFixture, ObserverSeesEveryMessageAtSendTime) {
-  int observed = 0;
-  net.set_observer([&](const Message&) { ++observed; });
-  net.send(mk(0, 1, MsgKind::kAcquisition));
-  EXPECT_EQ(observed, 1) << "observer fires at send, not delivery";
-  simulator.run_to_quiescence();
-  EXPECT_EQ(observed, 1);
+  // Message complexity is counted when a message is sent, not when it
+  // lands; the delivery observer sees it only once it lands.
+  net.world.send(mk(0, 1, MsgKind::kRelease));
+  EXPECT_EQ(net.world.total_sent(), 1u) << "counted at send, not delivery";
+  EXPECT_TRUE(delivered.empty());
+  net.world.run_to_quiescence();
+  EXPECT_EQ(net.world.total_sent(), 1u);
+  EXPECT_EQ(delivered.size(), 1u);
 }
 
 TEST_F(NetworkFixture, UseSetPayloadSurvivesDelivery) {
-  Message m = mk(4, 1, MsgKind::kResponse);
+  Message m = mk(9, 1, MsgKind::kRelease);
   m.res_type = ResType::kSearchReply;
   m.use = cell::ChannelSet(70);
   m.use.insert(13);
   m.use.insert(42);
-  net.send(m);
-  simulator.run_to_quiescence();
+  net.world.send(m);
+  net.world.run_to_quiescence();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_TRUE(delivered[0].use.contains(13));
   EXPECT_TRUE(delivered[0].use.contains(42));

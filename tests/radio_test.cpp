@@ -160,8 +160,8 @@ TEST(Noise, FcaSkipsFadedChannelsForNewAcquisitions) {
     expected = w.plan().primary(c).next_after(expected);
   }
 
-  ASSERT_EQ(w.collector().records().size(), 1u);
-  const auto& rec = w.collector().records()[0];
+  ASSERT_EQ(w.records().size(), 1u);
+  const auto& rec = w.records()[0];
   if (expected == cell::kNoChannel) {
     EXPECT_EQ(rec.outcome, proto::Outcome::kBlockedNoChannel);
     EXPECT_TRUE(w.node(c).in_use().empty());

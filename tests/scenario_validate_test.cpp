@@ -194,11 +194,22 @@ TEST(ValidateScenario, ShardedEngineConstraints) {
   EXPECT_NE(validate_scenario(c).find("more shards than cells"),
             std::string::npos);
   // The lookahead comes from the per-link latency floors, so a zero
-  // latency has no conservative window to offer.
+  // latency has no conservative window to offer — at any shard count,
+  // buffered or streaming, with one exact message.
+  const std::string kLatencyRule =
+      "need latency > 0 (the per-link latency floors are the engine's "
+      "lookahead)";
   c = ScenarioConfig{};
   c.shards = 4;
   c.latency = 0;
   EXPECT_NE(validate_scenario(c).find("latency > 0"), std::string::npos);
+  EXPECT_EQ(validate_scenario(c), kLatencyRule);
+  c.shards = 1;
+  EXPECT_EQ(validate_scenario(c), kLatencyRule);
+  c.stream_metrics = true;
+  EXPECT_EQ(validate_scenario(c), kLatencyRule);
+  c.latency = -1;
+  EXPECT_EQ(validate_scenario(c), kLatencyRule);
 
   // Jitter and mobility are legal at any shard count: both draw from
   // streams keyed by stable identifiers, not by execution order.

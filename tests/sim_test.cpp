@@ -2,13 +2,15 @@
 // clock semantics, RNG stream independence, and the trace log.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "runner/world.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 #include "sim/types.hpp"
 
 namespace dca::sim {
@@ -29,31 +31,43 @@ TEST(Types, FromSecondsTruncatesAndClamps) {
   EXPECT_DOUBLE_EQ(to_milliseconds(2'500), 2.5);
 }
 
+// -- ShardQueue: one shard's pending set, ordered by canonical key --------
+
+EventKey key_at(SimTime when, std::uint64_t seq) {
+  EventKey k;
+  k.when = when;
+  k.seq = seq;
+  return k;
+}
+
 TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
+  ShardQueue q;
   std::vector<int> fired;
-  q.schedule(30, [&] { fired.push_back(3); });
-  q.schedule(10, [&] { fired.push_back(1); });
-  q.schedule(20, [&] { fired.push_back(2); });
+  q.schedule(key_at(30, 1), [&] { fired.push_back(3); });
+  q.schedule(key_at(10, 2), [&] { fired.push_back(1); });
+  q.schedule(key_at(20, 3), [&] { fired.push_back(2); });
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, TiesBreakBySchedulingOrder) {
-  EventQueue q;
+  // Same instant, same owner and class: the owner's scheduling counter
+  // (key.seq) is the tie-break.
+  ShardQueue q;
   std::vector<int> fired;
   for (int i = 0; i < 5; ++i) {
-    q.schedule(42, [&fired, i] { fired.push_back(i); });
+    q.schedule(key_at(42, static_cast<std::uint64_t>(i) + 1),
+               [&fired, i] { fired.push_back(i); });
   }
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
+  ShardQueue q;
   bool ran = false;
-  const EventId id = q.schedule(5, [&] { ran = true; });
-  q.schedule(6, [] {});
+  const EventId id = q.schedule(key_at(5, 1), [&] { ran = true; });
+  q.schedule(key_at(6, 2), [] {});
   q.cancel(id);
   EXPECT_EQ(q.size(), 1u);
   while (!q.empty()) q.pop().action();
@@ -61,22 +75,22 @@ TEST(EventQueue, CancelPreventsExecution) {
 }
 
 TEST(EventQueue, CancelledHeadIsSkippedByNextTime) {
-  EventQueue q;
-  const EventId id = q.schedule(5, [] {});
-  q.schedule(9, [] {});
+  ShardQueue q;
+  const EventId id = q.schedule(key_at(5, 1), [] {});
+  q.schedule(key_at(9, 2), [] {});
   q.cancel(id);
-  EXPECT_EQ(q.next_time(), 9);
+  EXPECT_EQ(q.next_key().when, 9);
 }
 
 TEST(EventQueue, CancelAfterFireDoesNotCorruptLiveCount) {
-  // Regression (code review): cancelling an id that already fired used to
-  // insert a tombstone and decrement the live count, making empty() report
-  // true while a real event was still pending.
-  EventQueue q;
-  const EventId fired = q.schedule(1, [] {});
+  // Regression: cancelling an id that already fired used to insert a
+  // tombstone and decrement the live count, making empty() report true
+  // while a real event was still pending.
+  ShardQueue q;
+  const EventId fired = q.schedule(key_at(1, 1), [] {});
   q.pop().action();          // `fired` is gone
   bool ran = false;
-  q.schedule(2, [&] { ran = true; });
+  q.schedule(key_at(2, 2), [&] { ran = true; });
   q.cancel(fired);           // stale handle: must be a true no-op
   EXPECT_FALSE(q.empty());
   EXPECT_EQ(q.size(), 1u);
@@ -87,130 +101,130 @@ TEST(EventQueue, CancelAfterFireDoesNotCorruptLiveCount) {
 }
 
 TEST(EventQueue, CancelTwiceAndCancelInvalidAreNoops) {
-  EventQueue q;
-  const EventId id = q.schedule(5, [] {});
+  ShardQueue q;
+  const EventId id = q.schedule(key_at(5, 1), [] {});
   q.cancel(id);
   q.cancel(id);
   q.cancel(kInvalidEventId);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  q.schedule(1, [] {});
-  q.schedule(2, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), kTimeNever);
-}
+// -- ShardedKernel clock semantics, on one shard ----------------------------
+
+/// A one-shard kernel plus the scheduling counter a world keeps per cell.
+struct OneShard {
+  ShardedKernel k{1, 1, /*lookahead=*/1, /*n_threads=*/1};
+  std::uint64_t seq = 0;
+
+  template <typename F>
+  EventId at(SimTime when, F&& f) {
+    return k.schedule(key_at(when, ++seq), std::forward<F>(f));
+  }
+  template <typename F>
+  EventId in(Duration delay, F&& f) {
+    return at(k.now(0) + delay, std::forward<F>(f));
+  }
+  [[nodiscard]] SimTime now() const { return k.now(0); }
+};
 
 TEST(Simulator, NowAdvancesToEventTime) {
-  Simulator s;
+  OneShard s;
   SimTime seen = -1;
-  s.schedule_in(100, [&] { seen = s.now(); });
-  s.run_to_quiescence();
+  s.in(100, [&] { seen = s.now(); });
+  s.k.run_to_quiescence();
   EXPECT_EQ(seen, 100);
   EXPECT_EQ(s.now(), 100);
 }
 
 TEST(Simulator, NegativeDelayMeansNow) {
-  Simulator s;
-  s.schedule_in(50, [] {});
-  s.run_to_quiescence();
+  // The world's step clock: a negative schedule_in delay fires at now().
+  runner::ScenarioConfig cfg;
+  cfg.rows = 3;
+  cfg.cols = 3;
+  cfg.interference_radius = 1;
+  cfg.cluster = 3;
+  cfg.n_channels = 9;
+  runner::World w(cfg, runner::Scheme::kFca);
+  w.schedule_in(0, 50, [] {});
+  w.run_to_quiescence();
   SimTime seen = -1;
-  s.schedule_in(-10, [&] { seen = s.now(); });
-  s.run_to_quiescence();
+  w.schedule_in(0, -10, [&] { seen = w.now(); });
+  w.run_to_quiescence();
   EXPECT_EQ(seen, 50);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  Simulator s;
+  OneShard s;
   int fired = 0;
-  for (SimTime t = 10; t <= 100; t += 10) s.schedule_at(t, [&] { ++fired; });
-  s.run_until(55);
+  for (SimTime t = 10; t <= 100; t += 10) s.at(t, [&] { ++fired; });
+  s.k.run_until(55);
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(s.now(), 55);  // clock moves to the deadline even with no event there
-  s.run_to_quiescence();
+  s.k.run_to_quiescence();
   EXPECT_EQ(fired, 10);
 }
 
 TEST(Simulator, EventsAtDeadlineDoFire) {
-  Simulator s;
+  OneShard s;
   bool ran = false;
-  s.schedule_at(70, [&] { ran = true; });
-  s.run_until(70);
+  s.at(70, [&] { ran = true; });
+  s.k.run_until(70);
   EXPECT_TRUE(ran);
 }
 
 TEST(Simulator, EventsScheduleMoreEvents) {
-  Simulator s;
+  OneShard s;
   std::vector<SimTime> ticks;
   std::function<void()> chain = [&] {
     ticks.push_back(s.now());
-    if (ticks.size() < 4) s.schedule_in(10, chain);
+    if (ticks.size() < 4) s.in(10, chain);
   };
-  s.schedule_in(10, chain);
-  s.run_to_quiescence();
+  s.in(10, chain);
+  s.k.run_to_quiescence();
   EXPECT_EQ(ticks, (std::vector<SimTime>{10, 20, 30, 40}));
 }
 
 TEST(Simulator, ExecutedCountsEvents) {
-  Simulator s;
-  for (int i = 0; i < 7; ++i) s.schedule_in(i, [] {});
-  s.run_to_quiescence();
-  EXPECT_EQ(s.executed(), 7u);
+  OneShard s;
+  for (int i = 0; i < 7; ++i) s.in(i, [] {});
+  s.k.run_to_quiescence();
+  EXPECT_EQ(s.k.executed(), 7u);
 }
 
-// -- run_until tie handling (the legacy-order contract the sharded
-//    kernel's canonical keys must reproduce; see docs/ARCHITECTURE.md) --
+// -- run_until tie handling (the canonical-key contract; see
+//    docs/ARCHITECTURE.md) --------------------------------------------------
 
 TEST(Simulator, SameInstantEventsFireInSchedulingOrder) {
-  Simulator s;
+  OneShard s;
   std::vector<int> fired;
-  s.schedule_at(100, [&] { fired.push_back(1); });
-  s.schedule_at(100, [&] {
+  s.at(100, [&] { fired.push_back(1); });
+  s.at(100, [&] {
     fired.push_back(2);
-    // An event scheduled mid-instant for the same instant runs after
-    // everything already queued there (insertion order is the tie-break).
-    s.schedule_at(100, [&] { fired.push_back(4); });
+    // An event scheduled mid-instant for the same instant draws a later
+    // seq, so it runs after everything already queued there.
+    s.at(100, [&] { fired.push_back(4); });
   });
-  s.schedule_at(100, [&] { fired.push_back(3); });
-  s.run_until(100);
+  s.at(100, [&] { fired.push_back(3); });
+  s.k.run_until(100);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(s.now(), 100);
 }
 
 TEST(Simulator, CancelOfAlreadyPoppedEventIsHarmless) {
-  Simulator s;
+  OneShard s;
   int fired = 0;
-  const EventId a = s.schedule_in(10, [&] { ++fired; });
+  const EventId a = s.in(10, [&] { ++fired; });
   EventId b = kInvalidEventId;
-  b = s.schedule_in(20, [&] { ++fired; });
-  s.run_until(15);
+  b = s.in(20, [&] { ++fired; });
+  s.k.run_until(15);
   EXPECT_EQ(fired, 1);
-  s.cancel(a);  // already fired: must not corrupt the pending set
-  EXPECT_EQ(s.pending(), 1u);
-  s.cancel(a);  // and twice
-  s.run_to_quiescence();
+  s.k.cancel(0, a);  // already fired: must not corrupt the pending set
+  EXPECT_EQ(s.k.pending(), 1u);
+  s.k.cancel(0, a);  // and twice
+  s.k.run_to_quiescence();
   EXPECT_EQ(fired, 2);
-  s.cancel(b);  // after the whole queue drained
-  EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(Simulator, ScheduleAtInThePastClampsToNow) {
-  Simulator s;
-  std::vector<SimTime> fired_at;
-  s.schedule_at(50, [&] {
-    // "In the past" from inside an event at t=50.
-    s.schedule_at(10, [&] { fired_at.push_back(s.now()); });
-  });
-  s.schedule_at(60, [&] { fired_at.push_back(s.now()); });
-  s.run_to_quiescence();
-  // The clamped event fires at 50 (current instant), before the one at 60.
-  ASSERT_EQ(fired_at.size(), 2u);
-  EXPECT_EQ(fired_at[0], 50);
-  EXPECT_EQ(fired_at[1], 60);
-  EXPECT_EQ(s.executed(), 3u);
+  s.k.cancel(0, b);  // after the whole queue drained
+  EXPECT_EQ(s.k.pending(), 0u);
 }
 
 TEST(Rng, SameSeedSameSequence) {

@@ -12,7 +12,7 @@
 #include "cell/reuse.hpp"
 #include "mock_env.hpp"
 #include "proto/allocator.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard.hpp"
 #include "sim/small_fn.hpp"
 
 namespace {
@@ -20,11 +20,28 @@ namespace {
 using namespace dca;
 
 // A TimerFn must nest inside the kernel's EventFn when an environment
-// forwards it to a simulator (World::schedule_in relies on this).
+// forwards it to the kernel (World's per-shard env relies on this).
 static_assert(sim::EventFn::fits_inline<sim::TimerFn>(),
               "TimerFn must fit inside EventFn's inline buffer");
 
-/// Simulator-backed NodeEnv for timer tests. `can_cancel` false models an
+/// A one-shard kernel keyed the way the world keys a cell's timers.
+struct OneShardClock {
+  sim::ShardedKernel kernel{1, 1, /*lookahead=*/1, /*n_threads=*/1};
+  std::uint64_t seq = 0;
+
+  [[nodiscard]] sim::SimTime now() const { return kernel.now(0); }
+  sim::EventId schedule_in(sim::Duration delay, sim::TimerFn fn) {
+    sim::EventKey key;
+    key.when = now() + (delay < 0 ? 0 : delay);
+    key.klass = sim::kClassTimer;
+    key.seq = ++seq;
+    return kernel.schedule(key, std::move(fn));
+  }
+  void cancel(sim::EventId id) { kernel.cancel(0, id); }
+  void run_to_quiescence() { kernel.run_to_quiescence(); }
+};
+
+/// Kernel-backed NodeEnv for timer tests. `can_cancel` false models an
 /// environment with lazy (or absent) cancellation: cancel_scheduled is
 /// ignored and superseded events still fire, so only the node's
 /// generation counter keeps stale callbacks quiet.
@@ -55,7 +72,7 @@ class TimerEnv final : public proto::NodeEnv {
     if (can_cancel_) sim.cancel(id);
   }
 
-  sim::Simulator sim;
+  OneShardClock sim;
   int timers_scheduled = 0;
   int cancels_requested = 0;
 

@@ -3,10 +3,11 @@
 // determinism/independence of the per-cell substreams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "cell/grid.hpp"
-#include "sim/simulator.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
 
@@ -88,72 +89,86 @@ TEST(Profiles, MovingHotspotStepsThroughRoute) {
   EXPECT_DOUBLE_EQ(p.max_rate(5), 0.1);
 }
 
+// The table's calls as the engine offers them: in CallId order.
+std::vector<CallSpec> offered(const ArrivalTable& t) {
+  std::vector<CallSpec> out(t.calls());
+  for (std::size_t c = 0; c + 1 < t.begin.size(); ++c) {
+    for (std::size_t k = t.begin[c]; k < t.begin[c + 1]; ++k) {
+      const ArrivalTable::Candidate& cand = t.candidates[k];
+      if (cand.holding == 0) continue;
+      CallSpec& spec = out[static_cast<std::size_t>(cand.id - 1)];
+      spec.id = cand.id;
+      spec.cell = static_cast<cell::CellId>(c);
+      spec.arrival = cand.t;
+      spec.holding = cand.holding;
+    }
+  }
+  return out;
+}
+
 TEST(Generator, PoissonCountIsApproximatelyRateTimesTime) {
-  sim::Simulator simulator;
   const auto grid = small_grid();
   const UniformProfile profile(0.5);  // calls/s/cell
-  std::uint64_t arrivals = 0;
-  TrafficSource src(simulator, grid, profile, 60.0, /*seed=*/7,
-                    [&](const CallSpec&) { ++arrivals; });
-  src.start(sim::minutes(30));
-  simulator.run_to_quiescence();
+  const ArrivalTable t =
+      draw_arrivals(grid.n_cells(), profile, 60.0, /*seed=*/7, sim::minutes(30));
+  const std::uint64_t arrivals = offered(t).size();
   // E = 9 cells * 0.5/s * 1800 s = 8100; allow 5 sigma (~450).
   EXPECT_NEAR(static_cast<double>(arrivals), 8100.0, 450.0);
-  EXPECT_EQ(src.emitted(), arrivals);
+  // A uniform profile thins nothing: every candidate is a call.
+  EXPECT_EQ(t.candidates.size(), arrivals);
+  EXPECT_EQ(t.call_cell.size(), arrivals);
 }
 
 TEST(Generator, HoldingTimesHaveRequestedMean) {
-  sim::Simulator simulator;
   const auto grid = small_grid();
   const UniformProfile profile(1.0);
   double sum = 0.0;
   std::uint64_t n = 0;
-  TrafficSource src(simulator, grid, profile, 120.0, 3, [&](const CallSpec& c) {
+  for (const CallSpec& c :
+       offered(draw_arrivals(grid.n_cells(), profile, 120.0, 3, sim::minutes(20)))) {
     sum += sim::to_seconds(c.holding);
     ++n;
-  });
-  src.start(sim::minutes(20));
-  simulator.run_to_quiescence();
+  }
   ASSERT_GT(n, 1000u);
   EXPECT_NEAR(sum / static_cast<double>(n), 120.0, 10.0);
 }
 
 TEST(Generator, ArrivalsRespectHorizonAndAreOrdered) {
-  sim::Simulator simulator;
   const auto grid = small_grid();
   const UniformProfile profile(2.0);
   std::vector<sim::SimTime> times;
-  TrafficSource src(simulator, grid, profile, 10.0, 5,
-                    [&](const CallSpec& c) { times.push_back(c.arrival); });
-  src.start(sim::seconds(100));
-  simulator.run_to_quiescence();
+  for (const CallSpec& c :
+       offered(draw_arrivals(grid.n_cells(), profile, 10.0, 5, sim::seconds(100)))) {
+    times.push_back(c.arrival);
+  }
   ASSERT_FALSE(times.empty());
   for (std::size_t i = 1; i < times.size(); ++i) EXPECT_GE(times[i], times[i - 1]);
   EXPECT_LT(times.back(), sim::seconds(100));
 }
 
 TEST(Generator, CallIdsAreUniqueAndDense) {
-  sim::Simulator simulator;
   const auto grid = small_grid();
   const UniformProfile profile(1.0);
+  const ArrivalTable t =
+      draw_arrivals(grid.n_cells(), profile, 10.0, 5, sim::seconds(60));
   std::vector<CallId> ids;
-  TrafficSource src(simulator, grid, profile, 10.0, 5,
-                    [&](const CallSpec& c) { ids.push_back(c.id); });
-  src.start(sim::seconds(60));
-  simulator.run_to_quiescence();
+  for (const ArrivalTable::Candidate& cand : t.candidates) {
+    if (cand.holding > 0) ids.push_back(cand.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), t.calls());
   for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i + 1);
 }
 
 TEST(Generator, DeterministicGivenSeed) {
   const auto run = [](std::uint64_t seed) {
-    sim::Simulator simulator;
     const auto grid = small_grid();
     const UniformProfile profile(0.7);
     std::vector<std::pair<sim::SimTime, cell::CellId>> trace;
-    TrafficSource src(simulator, grid, profile, 30.0, seed,
-                      [&](const CallSpec& c) { trace.emplace_back(c.arrival, c.cell); });
-    src.start(sim::minutes(5));
-    simulator.run_to_quiescence();
+    for (const CallSpec& c :
+         offered(draw_arrivals(grid.n_cells(), profile, 30.0, seed, sim::minutes(5)))) {
+      trace.emplace_back(c.arrival, c.cell);
+    }
     return trace;
   };
   EXPECT_EQ(run(11), run(11));
@@ -162,38 +177,35 @@ TEST(Generator, DeterministicGivenSeed) {
 
 TEST(Generator, ThinningMatchesHotspotRates) {
   // Compare in-window vs out-of-window arrival counts at the hot cell.
-  sim::Simulator simulator;
   const auto grid = small_grid();
   const sim::SimTime w0 = sim::minutes(30), w1 = sim::minutes(60);
   const HotspotProfile profile(0.2, {0}, 4.0, w0, w1);
   std::uint64_t inside = 0, outside = 0;
-  TrafficSource src(simulator, grid, profile, 10.0, 21, [&](const CallSpec& c) {
-    if (c.cell != 0) return;
+  for (const CallSpec& c :
+       offered(draw_arrivals(grid.n_cells(), profile, 10.0, 21, sim::minutes(90)))) {
+    if (c.cell != 0) continue;
     if (c.arrival >= w0 && c.arrival < w1) {
       ++inside;
     } else {
       ++outside;
     }
-  });
-  src.start(sim::minutes(90));
-  simulator.run_to_quiescence();
+  }
   // Expected: inside ~ 0.8/s * 1800 = 1440; outside ~ 0.2/s * 3600 = 720.
   EXPECT_NEAR(static_cast<double>(inside), 1440.0, 200.0);
   EXPECT_NEAR(static_cast<double>(outside), 720.0, 150.0);
 }
 
 TEST(Generator, ZeroRateCellProducesNothing) {
-  sim::Simulator simulator;
   const auto grid = small_grid();
   const PerCellProfile profile({0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0});
+  const ArrivalTable t =
+      draw_arrivals(grid.n_cells(), profile, 10.0, 2, sim::minutes(10));
   std::uint64_t from_silent = 0, from_active = 0;
-  TrafficSource src(simulator, grid, profile, 10.0, 2, [&](const CallSpec& c) {
-    (c.cell == 1 ? from_active : from_silent)++;
-  });
-  src.start(sim::minutes(10));
-  simulator.run_to_quiescence();
+  for (const cell::CellId c : t.call_cell) (c == 1 ? from_active : from_silent)++;
   EXPECT_EQ(from_silent, 0u);
   EXPECT_GT(from_active, 100u);
+  // A silent cell draws no candidates at all.
+  EXPECT_EQ(t.begin[1], 0u);
 }
 
 }  // namespace

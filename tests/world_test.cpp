@@ -24,7 +24,7 @@ TEST(World, GroundTruthMirrorsNodeUse) {
   traffic::CallId id = 1;
   for (cell::CellId c = 0; c < w.grid().n_cells(); c += 4)
     offer_call(w, c, id++, sim::seconds(30));
-  w.simulator().run_until(sim::seconds(5));
+  w.run_until(sim::seconds(5));
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c) {
     EXPECT_TRUE(w.ground_truth_use(c) == w.node(c).in_use()) << "cell " << c;
   }
@@ -35,10 +35,10 @@ TEST(World, CallsEndAndChannelsReturn) {
   World w(cfg, Scheme::kFca);
   offer_call(w, 0, 1, sim::seconds(10));
   EXPECT_EQ(w.active_calls(), 1u);
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   EXPECT_EQ(w.active_calls(), 0u);
   EXPECT_TRUE(w.ground_truth_use(0).empty());
-  EXPECT_EQ(w.simulator().now(), sim::seconds(10));
+  EXPECT_EQ(w.now(), sim::seconds(10));
 }
 
 TEST(World, BlockedCallsAreNotActive) {
@@ -61,10 +61,10 @@ TEST(World, HandoffMovesCallToNeighbor) {
   cfg.mean_dwell_s = 20.0;  // handoffs roughly every 20 s
   World w(cfg, Scheme::kFca);
   offer_call(w, testutil::center_cell(cfg), 1, sim::minutes(10));
-  w.simulator().run_to_quiescence();
+  w.run_to_quiescence();
   // The call lived 10 minutes with ~30 expected handoffs; records beyond
   // the first must be handoff requests for the same call id.
-  const auto& recs = w.collector().records();
+  const auto& recs = w.records();
   ASSERT_GT(recs.size(), 3u);
   int handoffs = 0;
   for (const auto& r : recs) {
@@ -84,8 +84,8 @@ TEST(World, HandoffFailureDropsCall) {
   traffic::CallId id = 1;
   for (cell::CellId c = 0; c < w.grid().n_cells(); ++c)
     for (int i = 0; i < 3; ++i) offer_call(w, c, id++, sim::minutes(2));
-  w.simulator().run_to_quiescence();
-  const auto agg = w.collector().aggregate(cfg.latency);
+  w.run_to_quiescence();
+  const auto agg = metrics::aggregate_records(w.records(), cfg.latency);
   EXPECT_GT(agg.handoff_failures, 0u);
   EXPECT_TRUE(w.quiescent());
 }

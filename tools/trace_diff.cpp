@@ -6,7 +6,7 @@
 //   $ trace_diff --context 5 a.jsonl b.jsonl
 //
 // Exit status: 0 identical, 1 diverging, 2 usage/parse error. The tool
-// exists for the sharded engine's determinism contract: when two runs
+// exists for the engine's determinism contract: when two runs
 // that must be bit-identical are not, the first diverging event — not a
 // megabyte of failed EXPECT_EQ output — is what localizes the bug.
 #include <algorithm>
