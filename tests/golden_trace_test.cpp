@@ -23,22 +23,17 @@
 
 #include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
+#include "runner/world.hpp"
 #include "sim/trace.hpp"
+#include "test_util.hpp"
+#include "traffic/mobility.hpp"
 
 namespace dca {
 namespace {
 
 using runner::RunResult;
 using runner::Scheme;
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+using testutil::fnv1a;
 
 // Doubles are rendered as hex floats, so the digest is bit-exact.
 std::string result_text(const RunResult& r) {
@@ -250,6 +245,70 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string("Unknown");
     });
+
+// The step API's records() view, pinned the same way. A scripted adaptive
+// world offers 330 calls 1 s apart (every other one at one hot cell, the
+// rest around it) with 20 s mean dwell, so the view spans five and a half
+// simulated minutes of one-second fold strides, update and search
+// acquisitions, blocks and handoff legs. It is digested mid-run (while
+// calls are still open and records still close at now()) and after the
+// drain, over every record field an output reads.
+std::string records_text(const std::vector<metrics::CallRecord>& recs) {
+  std::string s;
+  char buf[160];
+  for (const metrics::CallRecord& r : recs) {
+    std::snprintf(buf, sizeof buf,
+                  "%" PRIu64 ",%d,%" PRId64 ",%" PRId64 ",%d,%d,%d,%d,%u;",
+                  r.serial, r.cellId, r.t_request, r.t_decision,
+                  static_cast<int>(r.outcome), r.attempts,
+                  r.borrowing_neighbors, r.searching_neighbors,
+                  r.total_messages());
+    s += buf;
+  }
+  return s;
+}
+
+constexpr std::uint64_t kGoldenRecordsMid = 0xb0f3ca1f4bff47caull;
+constexpr std::uint64_t kGoldenRecordsEnd = 0x288e768b634bb828ull;
+
+TEST(GoldenRecords, ScriptedRecordsViewHoldsAtOneAndFourShards) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    runner::ScenarioConfig cfg = testutil::small_config();
+    cfg.mean_dwell_s = 20.0;
+    cfg.shards = shards;
+    runner::World w(cfg, Scheme::kAdaptive);
+    const cell::CellId hot = testutil::center_cell(cfg);
+    const auto around = w.grid().neighbors(hot);
+    std::uint64_t mid = 0;
+    for (int i = 0; i < 330; ++i) {
+      const cell::CellId c =
+          i % 2 == 0 ? around[static_cast<std::size_t>(i / 2) % around.size()]
+                     : hot;
+      testutil::offer_call(w, c, static_cast<traffic::CallId>(i + 1),
+                           sim::seconds(20 + (i * 37) % 60));
+      w.run_until(w.now() + sim::milliseconds(1000));
+      if (i == 165) mid = fnv1a(records_text(w.records()));
+    }
+    w.run_to_quiescence();
+    const std::vector<metrics::CallRecord>& recs = w.records();
+    int legs = 0, update = 0, search = 0, blocked = 0;
+    for (const metrics::CallRecord& r : recs) {
+      if (traffic::mobility::hop_of(r.serial) > 0) ++legs;
+      if (r.outcome == proto::Outcome::kAcquiredUpdate) ++update;
+      if (r.outcome == proto::Outcome::kAcquiredSearch) ++search;
+      if (!proto::is_acquired(r.outcome)) ++blocked;
+    }
+    EXPECT_GT(legs, 0);
+    EXPECT_GT(update, 0);
+    EXPECT_GT(search, 0);
+    EXPECT_GT(blocked, 0);
+    EXPECT_TRUE(w.quiescent());
+    EXPECT_EQ(mid, kGoldenRecordsMid) << std::hex << "mid digest 0x" << mid;
+    const std::uint64_t end = fnv1a(records_text(recs));
+    EXPECT_EQ(end, kGoldenRecordsEnd) << std::hex << "end digest 0x" << end;
+  }
+}
 
 }  // namespace
 }  // namespace dca

@@ -1,16 +1,25 @@
-// Streaming-vs-buffered equivalence: config.stream_metrics folds call
-// records and the trace out of the engine at window barriers instead of
-// buffering the whole run, and the acceptance bar is *bit identity* — the
-// same Aggregate doubles and the same trace byte for byte, on the golden
-// scenarios the paper tables are reproduced from (Table 2's low-load
-// point, Table 3's high-load sweep points) and on the engine's hard
-// configurations (multi-shard, latency jitter, mobility).
+// Run products pinned as digests. Call records and the trace are folded
+// out of the engine at window barriers instead of being buffered for the
+// whole run, and the bar is *bit identity* with the buffered reduction —
+// the same Aggregate doubles and the same trace byte for byte — on the
+// golden scenarios the paper tables are reproduced from (Table 2's
+// low-load point, Table 3's high-load sweep points) and on the engine's
+// hard configurations (multi-shard, latency jitter, mobility).
+//
+// Each digest below is FNV-1a over every field a metrics::Table cell or
+// the JSON output can be rendered from (doubles as hex floats), taken
+// from the buffered reduction and reproduced by the streaming fold. A
+// mismatch means the simulation or its reduction changed.
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "metrics/collector.hpp"
+#include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
 #include "sim/trace.hpp"
 #include "test_util.hpp"
@@ -21,6 +30,7 @@ namespace {
 using runner::RunResult;
 using runner::ScenarioConfig;
 using runner::Scheme;
+using testutil::fnv1a;
 
 /// Shortened paper-table scenario (8x8, 70 channels): same geometry and
 /// rates as the Table 1/2/3 benches, trimmed so the full matrix stays in
@@ -32,78 +42,101 @@ ScenarioConfig golden_config() {
   return c;
 }
 
-void expect_same_summary(const metrics::Summary& a, const metrics::Summary& b,
-                         const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.variance(), b.variance()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
+/// Every Aggregate field (Summaries in full) plus the run-level totals.
+std::string run_text(const RunResult& r) {
+  std::string s;
+  char buf[96];
+  const auto u = [&](const char* k, std::uint64_t v) {
+    std::snprintf(buf, sizeof buf, "%s=%" PRIu64 ";", k, v);
+    s += buf;
+  };
+  const auto d = [&](const char* k, double v) {
+    std::snprintf(buf, sizeof buf, "%s=%a;", k, v);
+    s += buf;
+  };
+  const auto summary = [&](const char* k, const metrics::Summary& x) {
+    u(k, x.count());
+    d("mean", x.mean());
+    d("var", x.variance());
+    d("min", x.min());
+    d("max", x.max());
+  };
+  const metrics::Aggregate& a = r.agg;
+  u("offered", a.offered);
+  u("acquired", a.acquired);
+  u("blocked", a.blocked);
+  u("starved", a.starved);
+  u("timed_out", a.timed_out);
+  u("downed", a.downed);
+  u("handoff_offered", a.handoff_offered);
+  u("handoff_failures", a.handoff_failures);
+  d("xi1", a.xi1);
+  d("xi2", a.xi2);
+  d("xi3", a.xi3);
+  d("m", a.mean_update_attempts);
+  d("n_borrow", a.mean_borrowing_neighbors);
+  d("n_search", a.mean_searching_neighbors);
+  summary("attempts", a.attempts);
+  summary("delay_us", a.delay_us);
+  summary("delay_in_T", a.delay_in_T);
+  summary("messages_per_call", a.messages_per_call);
+  summary("messages_acquired", a.messages_acquired);
+  u("total_messages", r.total_messages);
+  u("offered_calls", r.offered_calls);
+  d("carried_erlangs", r.carried_erlangs);
+  u("violations", r.violations);
+  u("quiescent", r.quiescent ? 1 : 0);
+  for (const std::uint64_t k : r.messages_by_kind) u("kind", k);
+  return s;
 }
 
-/// Bit-exact comparison of every field a metrics::Table cell can be
-/// rendered from: if these all match, any table printed from the two
-/// aggregates is character-identical.
-void expect_same_aggregate(const metrics::Aggregate& a,
-                           const metrics::Aggregate& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.acquired, b.acquired);
-  EXPECT_EQ(a.blocked, b.blocked);
-  EXPECT_EQ(a.starved, b.starved);
-  EXPECT_EQ(a.timed_out, b.timed_out);
-  EXPECT_EQ(a.handoff_offered, b.handoff_offered);
-  EXPECT_EQ(a.handoff_failures, b.handoff_failures);
-  EXPECT_EQ(a.xi1, b.xi1);
-  EXPECT_EQ(a.xi2, b.xi2);
-  EXPECT_EQ(a.xi3, b.xi3);
-  EXPECT_EQ(a.mean_update_attempts, b.mean_update_attempts);
-  EXPECT_EQ(a.mean_borrowing_neighbors, b.mean_borrowing_neighbors);
-  EXPECT_EQ(a.mean_searching_neighbors, b.mean_searching_neighbors);
-  expect_same_summary(a.attempts, b.attempts, "attempts");
-  expect_same_summary(a.delay_us, b.delay_us, "delay_us");
-  expect_same_summary(a.delay_in_T, b.delay_in_T, "delay_in_T");
-  expect_same_summary(a.messages_per_call, b.messages_per_call,
-                      "messages_per_call");
-  expect_same_summary(a.messages_acquired, b.messages_acquired,
-                      "messages_acquired");
-}
-
-void expect_equivalent_runs(const ScenarioConfig& base, Scheme scheme,
-                            double rho) {
-  ScenarioConfig buffered = base;
-  buffered.stream_metrics = false;
-  ScenarioConfig streaming = base;
-  streaming.stream_metrics = true;
-
-  const RunResult rb = runner::run_uniform(buffered, scheme, rho);
-  const RunResult rs = runner::run_uniform(streaming, scheme, rho);
-
-  expect_same_aggregate(rb.agg, rs.agg);
-  EXPECT_EQ(rb.total_messages, rs.total_messages);
-  EXPECT_EQ(rb.offered_calls, rs.offered_calls);
-  EXPECT_EQ(rb.carried_erlangs, rs.carried_erlangs);
-  EXPECT_EQ(rb.violations, rs.violations);
-  EXPECT_EQ(rb.quiescent, rs.quiescent);
-  EXPECT_EQ(rb.messages_by_kind, rs.messages_by_kind);
+/// Runs `base` at `rho`, buffered and streaming, and checks both against
+/// the pinned digest.
+void expect_pinned(const ScenarioConfig& base, Scheme scheme, double rho,
+                   std::uint64_t want) {
+  for (const bool stream : {false, true}) {
+    SCOPED_TRACE(stream ? "streaming" : "buffered");
+    ScenarioConfig cfg = base;
+    cfg.stream_metrics = stream;
+    const RunResult r = runner::run_uniform(cfg, scheme, rho);
+    const std::uint64_t got = fnv1a(run_text(r));
+    EXPECT_EQ(got, want) << std::hex << "digest 0x" << got << "\n"
+                         << run_text(r);
+  }
 }
 
 TEST(StreamingMetrics, GoldenLowLoadPointMatchesBuffered) {
-  // Table 2's premise: uniformly low load, all four paper schemes.
+  // Table 2's premise: uniformly low load, all four paper schemes, in
+  // runner::kPaperSchemes order.
+  constexpr std::uint64_t kWant[] = {0x6a94ebb280897c5eull, 0x4a2bcf978456f2e2ull,
+                                     0x8421e880ba5b7103ull, 0x934c7bc0eedb4eeeull};
   const ScenarioConfig cfg = golden_config();
+  std::size_t k = 0;
   for (const Scheme s : runner::kPaperSchemes) {
     SCOPED_TRACE(runner::scheme_name(s));
-    expect_equivalent_runs(cfg, s, 0.1);
+    expect_pinned(cfg, s, 0.1, kWant[k++]);
   }
 }
 
 TEST(StreamingMetrics, GoldenHighLoadPointsMatchBuffered) {
   // Table 3's observed-extremes sweep, trimmed to its endpoints where
   // blocking/starvation and heavy message traffic actually occur.
+  struct Point {
+    double rho;
+    Scheme scheme;
+    std::uint64_t want;
+  };
+  constexpr Point kPoints[] = {
+      {0.4, Scheme::kAdaptive, 0xab4d5d3002f39247ull},
+      {0.4, Scheme::kBasicUpdate, 0x0a204eed1d46fb39ull},
+      {0.95, Scheme::kAdaptive, 0x0d7ccc8e0ad9cc31ull},
+      {0.95, Scheme::kBasicUpdate, 0x2ffdf69d33a253b2ull},
+  };
   const ScenarioConfig cfg = golden_config();
-  for (const double rho : {0.4, 0.95}) {
-    SCOPED_TRACE(rho);
-    expect_equivalent_runs(cfg, Scheme::kAdaptive, rho);
-    expect_equivalent_runs(cfg, Scheme::kBasicUpdate, rho);
+  for (const Point& p : kPoints) {
+    SCOPED_TRACE(runner::scheme_name(p.scheme) + " rho=" +
+                 std::to_string(p.rho));
+    expect_pinned(cfg, p.scheme, p.rho, p.want);
   }
 }
 
@@ -115,44 +148,39 @@ TEST(StreamingMetrics, ShardedJitteredMobileRunMatchesBuffered) {
   cfg.shards = 4;
   cfg.latency_jitter = sim::milliseconds(2);
   cfg.mean_dwell_s = 90.0;
-  expect_equivalent_runs(cfg, Scheme::kAdaptive, 0.9);
+  expect_pinned(cfg, Scheme::kAdaptive, 0.9, 0x45fedf94aa1d0a5aull);
 }
 
 TEST(StreamingMetrics, StreamedTraceIsByteIdenticalAndConformant) {
+  constexpr std::uint64_t kWantTrace = 0xaf314acef90f4354ull;
+  constexpr std::uint64_t kWantResult = 0xe587dee23f79c876ull;
   ScenarioConfig cfg = golden_config();
   cfg.duration = sim::minutes(3);
   cfg.shards = 4;
   cfg.mean_dwell_s = 120.0;
-
-  ScenarioConfig buffered = cfg;
-  sim::TraceRecorder rec_buf;
-  const RunResult rb = runner::run_uniform(buffered, Scheme::kAdaptive, 0.9,
-                                           &rec_buf);
-
-  ScenarioConfig streaming = cfg;
-  streaming.stream_metrics = true;
-  sim::TraceRecorder rec_str;  // no sink: buffers the streamed emissions
-  const RunResult rs = runner::run_uniform(streaming, Scheme::kAdaptive, 0.9,
-                                           &rec_str);
-
-  // Streaming emits at fold boundaries, buffered at run end — the merged
-  // event sequence must be identical event for event.
-  EXPECT_EQ(rec_buf.events(), rec_str.events());
-  expect_same_aggregate(rb.agg, rs.agg);
-
-  // With a trace attached, streaming mode replays it through the
-  // in-engine conformance checker; the buffered path does not.
-  EXPECT_TRUE(rs.conformance_checked);
-  EXPECT_EQ(rs.conformance_violations, 0u);
-  EXPECT_TRUE(rs.conformance_ok());
-  EXPECT_FALSE(rb.conformance_checked);
+  for (const bool stream : {false, true}) {
+    SCOPED_TRACE(stream ? "streaming" : "buffered");
+    cfg.stream_metrics = stream;
+    sim::TraceRecorder rec;  // no sink: buffers the emitted trace
+    const RunResult r = runner::run_uniform(cfg, Scheme::kAdaptive, 0.9, &rec);
+    const std::uint64_t trace = fnv1a(runner::trace_to_jsonl(rec.events()));
+    const std::uint64_t result = fnv1a(run_text(r));
+    EXPECT_EQ(trace, kWantTrace) << std::hex << "trace digest 0x" << trace;
+    EXPECT_EQ(result, kWantResult) << std::hex << "result digest 0x" << result;
+    // With a trace attached, streaming replays it through the in-engine
+    // conformance checker.
+    if (stream) {
+      EXPECT_TRUE(r.conformance_checked);
+      EXPECT_EQ(r.conformance_violations, 0u);
+      EXPECT_TRUE(r.conformance_ok());
+    }
+  }
 }
 
 TEST(StreamingMetrics, SmallGridSingleShardStreams) {
-  // shards == 1 streaming must match shards == 1 buffered bit for bit.
   const ScenarioConfig cfg = testutil::small_config();
-  expect_equivalent_runs(cfg, Scheme::kAdaptive, 0.8);
-  expect_equivalent_runs(cfg, Scheme::kBasicSearch, 0.8);
+  expect_pinned(cfg, Scheme::kAdaptive, 0.8, 0xf6fee95865be39c5ull);
+  expect_pinned(cfg, Scheme::kBasicSearch, 0.8, 0x21c1bd4cf17bae89ull);
 }
 
 TEST(StreamingMetrics, PeakRssIsReported) {

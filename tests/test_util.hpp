@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "runner/scenario.hpp"
 #include "runner/world.hpp"
@@ -62,6 +63,16 @@ inline std::uint64_t offer_call(runner::World& world, cell::CellId cellId,
 /// Central cell of a config's grid.
 inline cell::CellId center_cell(const runner::ScenarioConfig& c) {
   return (c.rows / 2) * c.cols + c.cols / 2;
+}
+
+/// 64-bit FNV-1a: the digest the golden tests pin behaviour with.
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
 }  // namespace dca::testutil
