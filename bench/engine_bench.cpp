@@ -458,18 +458,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Metro-scale memory: a 60x60 streaming run records peak RSS per cell —
+  // Metro-scale memory: a 60x60 run records peak RSS per cell —
   // the budget the metro smoke test gates on. Process-wide high-water, so
   // it is an upper bound (earlier bench sections allocated too), but this
   // run's working set dominates the process by an order of magnitude.
-  dca::benchutil::heading("metro memory: 60x60 streaming, peak RSS per cell");
+  dca::benchutil::heading("metro memory: 60x60, peak RSS per cell");
   dca::runner::ScenarioConfig metro = bench_config();
   metro.rows = 60;
   metro.cols = 60;
   metro.duration = dca::sim::seconds(30);
   metro.warmup = dca::sim::seconds(5);
   metro.shards = shards_n;
-  metro.stream_metrics = true;
   const auto metro_t0 = std::chrono::steady_clock::now();
   const RunResult metro_r = dca::runner::run_uniform(metro, Scheme::kAdaptive, rho);
   const auto metro_t1 = std::chrono::steady_clock::now();
@@ -646,8 +645,6 @@ int main(int argc, char** argv) {
   w.value("60x60");
   w.key("scheme");
   w.value("adaptive");
-  w.key("stream_metrics");
-  w.value(true);
   w.key("shards");
   w.value(metro.shards);
   w.key("duration_s");

@@ -18,32 +18,6 @@ void Collector::open(std::uint64_t serial, traffic::CallId call, cell::CellId ce
   assert(inserted && "serials are unique");
 }
 
-void Collector::on_message(const net::Message& msg) {
-  if (msg.serial == 0) {
-    ++unattributed_;
-    return;
-  }
-  bill(msg.serial, msg.kind);
-}
-
-void Collector::bill(std::uint64_t serial, net::MsgKind kind) {
-  const auto it = open_.find(serial);
-  if (it == open_.end()) {
-    // Billed to an already-closed acquisition (e.g. the end-of-call
-    // RELEASE): attribute to the closed record if still reachable, else
-    // count as unattributed. A linear search of closed_ would be O(n);
-    // instead keep a side index from serial -> closed slot.
-    const auto ci = closed_index_.find(serial);
-    if (ci == closed_index_.end()) {
-      ++unattributed_;
-      return;
-    }
-    ++closed_[ci->second].messages[static_cast<std::size_t>(kind)];
-    return;
-  }
-  ++it->second.messages[static_cast<std::size_t>(kind)];
-}
-
 void Collector::close(std::uint64_t serial, sim::SimTime now, proto::Outcome outcome,
                       int attempts, int borrowing_neighbors, int searching_neighbors) {
   const auto it = open_.find(serial);
@@ -55,22 +29,16 @@ void Collector::close(std::uint64_t serial, sim::SimTime now, proto::Outcome out
   rec.attempts = attempts;
   rec.borrowing_neighbors = borrowing_neighbors;
   rec.searching_neighbors = searching_neighbors;
-  if (!streaming_) closed_index_.emplace(serial, closed_.size());
   closed_.push_back(rec);
 }
 
 std::vector<CallRecord> Collector::drain_closed_before(sim::SimTime frontier) {
-  assert(streaming_ && "draining invalidates the closed index");
   auto split = closed_.begin();
   while (split != closed_.end() && split->t_decision < frontier) ++split;
   std::vector<CallRecord> out(std::make_move_iterator(closed_.begin()),
                               std::make_move_iterator(split));
   closed_.erase(closed_.begin(), split);
   return out;
-}
-
-Aggregate Collector::aggregate(sim::Duration T, sim::SimTime warmup) const {
-  return aggregate_records(closed_, T, warmup);
 }
 
 bool AggregateBuilder::add_core(const CallRecord& r) {

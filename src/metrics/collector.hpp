@@ -1,8 +1,10 @@
 // Per-call records and experiment-level aggregation.
 //
-// The collector opens a record when a call requests a channel, bills every
-// control message carrying that request's serial to it (via the network
-// observer hook), and closes the record at the accept/drop decision. The
+// The collector opens a record when a call requests a channel and closes
+// it at the accept/drop decision; the world drains closed records in
+// canonical order and folds them into an AggregateBuilder. Control
+// messages are billed to their request's serial by the world (per-serial
+// tallies), because a bill can land after its record was folded. The
 // aggregate view computes exactly the quantities the paper's Section 5
 // analysis is parameterized by:
 //
@@ -17,14 +19,12 @@
 // (reported in units of T), and control messages per call.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "cell/grid.hpp"
 #include "metrics/summary.hpp"
-#include "net/message.hpp"
 #include "proto/allocator.hpp"
 #include "sim/types.hpp"
 #include "traffic/call.hpp"
@@ -42,13 +42,9 @@ struct CallRecord {
   int attempts = 0;  // paper's m for this call (update rounds used)
   int borrowing_neighbors = 0;   // sampled at decision
   int searching_neighbors = 0;   // sampled at decision
-  std::array<std::uint32_t, net::kNumMsgKinds> messages{};
+  std::uint32_t messages = 0;    // control messages billed to this request
 
-  [[nodiscard]] std::uint32_t total_messages() const noexcept {
-    std::uint32_t s = 0;
-    for (const auto m : messages) s += m;
-    return s;
-  }
+  [[nodiscard]] std::uint32_t total_messages() const noexcept { return messages; }
   [[nodiscard]] sim::Duration delay() const noexcept { return t_decision - t_request; }
 };
 
@@ -83,17 +79,17 @@ struct Aggregate {
 };
 
 /// Incremental accumulator behind aggregate_records. Records are folded
-/// one at a time in canonical order, so a streaming engine can retire
-/// closed records window by window instead of buffering the full run.
+/// one at a time in canonical order, so the world retires closed records
+/// window by window instead of buffering the full run.
 ///
 /// The message-count Summaries are split out of add_core() because a
 /// record's message tally is NOT final at its decision instant — the
 /// end-of-call RELEASE (and any retried control leg) bills later. The
-/// streaming engine therefore folds add_core() at window barriers, keeps
-/// per-serial tallies, and replays add_messages() in fold order at run
-/// end. Each Summary's accumulation state depends only on its own add()
-/// sequence, so deferring one pair of Summaries past the others is still
-/// bit-identical to the buffered single pass.
+/// world therefore folds add_core() at window barriers, keeps per-serial
+/// tallies, and replays add_messages() in fold order at run end. Each
+/// Summary's accumulation state depends only on its own add() sequence,
+/// so deferring one pair of Summaries past the others is bit-identical to
+/// a single pass over finished records (aggregate_records).
 class AggregateBuilder {
  public:
   explicit AggregateBuilder(sim::Duration T, sim::SimTime warmup = 0)
@@ -116,7 +112,7 @@ class AggregateBuilder {
   /// outcome acquired a channel.
   void add_messages(std::uint32_t total, bool acquired);
 
-  /// Buffered path: both halves at once.
+  /// Both halves at once, for a record whose bill is final.
   void add(const CallRecord& r) {
     if (add_core(r)) add_messages(r.total_messages(), acquired_outcome(r.outcome));
   }
@@ -135,13 +131,11 @@ class AggregateBuilder {
   std::uint64_t n_search_samples_ = 0;
 };
 
-/// Aggregates a sequence of closed call records. This is the single
-/// source of truth for Aggregate: Collector::aggregate delegates here, and
-/// the world calls it directly on the canonically-merged record
-/// vector, so a merged multi-shard run reduces through the *same* code
-/// (and the same floating-point accumulation order) as a one-shard run.
-/// `T` is the latency bound for delay_in_T; records with t_request <
-/// `warmup` are discarded.
+/// Aggregates a sequence of closed, billed call records (e.g. a world's
+/// records() view) through the same AggregateBuilder, and so the same
+/// floating-point accumulation order, as the world's own fold. `T` is the
+/// latency bound for delay_in_T; records with t_request < `warmup` are
+/// discarded.
 [[nodiscard]] Aggregate aggregate_records(const std::vector<CallRecord>& records,
                                           sim::Duration T,
                                           sim::SimTime warmup = 0);
@@ -152,64 +146,25 @@ class Collector {
   void open(std::uint64_t serial, traffic::CallId call, cell::CellId cellId,
             sim::SimTime now, bool is_handoff);
 
-  /// Network observer: bills the message to its serial (if open).
-  void on_message(const net::Message& msg);
-
-  /// Bills one message of `kind` to `serial` directly — the sharded
-  /// engine's path for applying foreign-shard billing logs at merge time.
-  void bill(std::uint64_t serial, net::MsgKind kind);
-
   /// Closes the record at the decision instant. `borrowing_neighbors` /
   /// `searching_neighbors` are environment samples taken by the runner.
   void close(std::uint64_t serial, sim::SimTime now, proto::Outcome outcome,
              int attempts, int borrowing_neighbors, int searching_neighbors);
 
-  /// Messages whose serial was 0 or unknown (not billable to any call).
-  [[nodiscard]] std::uint64_t unattributed_messages() const noexcept {
-    return unattributed_;
-  }
-
-  /// True iff this collector holds the record (open or closed) for
-  /// `serial`. The world uses this to route billing for migrated
-  /// calls: exactly one shard ever opens a given serial's record, so a
-  /// message observed on a shard that does not know the serial must be
-  /// billed through the foreign-billing log instead.
-  [[nodiscard]] bool knows(std::uint64_t serial) const noexcept {
-    return open_.count(serial) != 0 || closed_index_.count(serial) != 0;
-  }
-
-  [[nodiscard]] const std::vector<CallRecord>& records() const noexcept {
-    return closed_;
-  }
-  /// Mutable access for post-run enrichment (the world fills the
-  /// deferred N_borrow / N_search neighbour samples in place).
-  [[nodiscard]] std::vector<CallRecord>& mutable_records() noexcept {
+  /// Closed records not yet drained, in close order (bills not filled).
+  [[nodiscard]] const std::vector<CallRecord>& closed() const noexcept {
     return closed_;
   }
   [[nodiscard]] std::size_t open_count() const noexcept { return open_.size(); }
 
-  /// Streaming mode: the owner drains closed records periodically, so the
-  /// serial -> closed-slot index (useless once records leave the
-  /// collector, ~48 bytes/call) is not maintained. Late bills must then be
-  /// routed by the owner's own tallies, never through bill().
-  void set_streaming(bool on) noexcept { streaming_ = on; }
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
-
   /// Removes and returns the prefix of closed records with t_decision <
   /// `frontier`. Records close in non-decreasing decision order per
-  /// collector, so this is a prefix splice. Streaming mode only.
+  /// collector, so this is a prefix splice.
   [[nodiscard]] std::vector<CallRecord> drain_closed_before(sim::SimTime frontier);
-
-  /// Aggregates closed records; `T` is the latency bound for delay_in_T and
-  /// `warmup` discards records whose request instant precedes it.
-  [[nodiscard]] Aggregate aggregate(sim::Duration T, sim::SimTime warmup = 0) const;
 
  private:
   std::unordered_map<std::uint64_t, CallRecord> open_;
   std::vector<CallRecord> closed_;
-  std::unordered_map<std::uint64_t, std::size_t> closed_index_;  // serial -> slot
-  std::uint64_t unattributed_ = 0;
-  bool streaming_ = false;
 };
 
 }  // namespace dca::metrics

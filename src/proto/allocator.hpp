@@ -112,16 +112,6 @@ class NodeEnv {
   /// Structured conformance-trace sink. Default: discard.
   virtual void record(const sim::TraceEvent& ev) { (void)ev; }
 
-  /// Radio-quality gate: false when `ch` is currently fading at `cellId`
-  /// and must not be picked for a *new* acquisition. Default: all channels
-  /// usable (the paper's ideal-radio setting).
-  [[nodiscard]] virtual bool channel_usable(cell::CellId cellId,
-                                            cell::ChannelId ch) const {
-    (void)cellId;
-    (void)ch;
-    return true;
-  }
-
   /// A restarted node finished its cold-state resync after `rounds`
   /// request waves and is ready to re-admit traffic. Default: ignore
   /// (environments without the crash fault model never see it).

@@ -5,13 +5,7 @@
 namespace dca::proto {
 
 void FcaNode::start_request(std::uint64_t serial) {
-  const cell::ChannelSet free = primary() - use_;
-  // Skip channels currently fading at this cell (no-op with an ideal
-  // radio, where channel_usable is constant true).
-  cell::ChannelId r = free.first();
-  while (r != cell::kNoChannel && !env().channel_usable(id(), r)) {
-    r = free.next_after(r);
-  }
+  const cell::ChannelId r = (primary() - use_).first();
   if (r == cell::kNoChannel) {
     complete_blocked(serial, Outcome::kBlockedNoChannel, 0);
     return;

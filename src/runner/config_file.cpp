@@ -225,15 +225,6 @@ bool apply_scenario_text(const std::string& text, ScenarioConfig& config,
     } else if (key == "pin") {
       if (!parse_bool(val, b)) return fail("bool");
       config.pin = b;
-    } else if (key == "stream_metrics") {
-      if (!parse_bool(val, b)) return fail("bool");
-      config.stream_metrics = b;
-    } else if (key == "radio_fade_prob") {
-      if (!parse_double(val, d)) return fail("number");
-      config.radio_fade_prob = d;
-    } else if (key == "radio_fade_bucket_ms") {
-      if (!parse_double(val, d)) return fail("number");
-      config.radio_fade_bucket = sim::from_seconds(d / 1000.0);
     } else {
       error = "line " + std::to_string(lineno) + ": unknown key '" + key + "'";
       return false;
@@ -303,10 +294,6 @@ std::string scenario_to_text(const ScenarioConfig& c) {
      << (c.partition == cell::Partition::kStriped ? "striped" : "blocks")
      << "\n";
   os << "pin = " << (c.pin ? "true" : "false") << "\n";
-  os << "stream_metrics = " << (c.stream_metrics ? "true" : "false") << "\n";
-  os << "radio_fade_prob = " << c.radio_fade_prob << "\n";
-  os << "radio_fade_bucket_ms = " << sim::to_milliseconds(c.radio_fade_bucket)
-     << "\n";
   return os.str();
 }
 

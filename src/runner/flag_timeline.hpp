@@ -21,12 +21,13 @@
 // Storage: one 8-byte word per change — (t << 2) | borrowing << 1 |
 // searching. A busy metro cell flips flags thousands of times over a
 // long run; the packed form halves the old {SimTime, bool, bool} layout
-// and, with prune_before(), the streaming engine keeps only the suffix
-// future closes can still observe instead of the whole history.
+// and, with prune_before(), the world keeps only the suffix future closes
+// can still observe instead of the whole history.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -82,7 +83,7 @@ class FlagTimelines {
   /// instant for acquired and blocked records alike; the self-searching
   /// term — acquisitions only — was already sampled live at close).
   void apply_neighbor_samples(const cell::HexGrid& grid,
-                              std::vector<metrics::CallRecord>& records) const {
+                              std::span<metrics::CallRecord> records) const {
     for (metrics::CallRecord& rec : records) {
       for (const cell::CellId j : grid.interference(rec.cellId)) {
         const auto [b, s] = flags_at(j, rec.t_decision, rec.cellId);

@@ -110,8 +110,8 @@ std::string validate_scenario(const ScenarioConfig& c) {
   if (c.shards < 1) return "shards must be >= 1";
   if (c.threads < 0) return "threads cannot be negative";
   if (c.shards > c.rows * c.cols) return "more shards than cells";
-  if (c.radio_fade_prob < 0.0 || c.radio_fade_prob >= 1.0)
-    return "radio_fade_prob must be in [0, 1)";
+  if (!c.stream_metrics)
+    return "stream_metrics must be true (the buffered metrics path is gone)";
   {
     // Registry-level check: unknown policy names, unknown parameters, and
     // out-of-range values are all rejected here, with the factory's own
@@ -120,8 +120,6 @@ std::string validate_scenario(const ScenarioConfig& c) {
     auto policy = proto::PolicyRegistry::instance().make(c.policy, policyError);
     if (policy == nullptr) return policyError;
   }
-  if (c.radio_fade_prob > 0.0 && c.radio_fade_bucket <= 0)
-    return "radio_fade_bucket must be positive when fading is enabled";
 
   // Final authority: build the actual geometry and validate the colouring
   // (catches e.g. torus dimensions incompatible with the cluster pattern).

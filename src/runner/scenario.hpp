@@ -92,12 +92,11 @@ struct ScenarioConfig {
   /// i-th CPU of the process affinity mask). Wall-clock stability only —
   /// never affects results. Silently unavailable off Linux.
   bool pin = false;
-  /// Stream metrics (and the trace, when one is attached) out of the
-  /// engine at window barriers instead of buffering every call record to
-  /// the end of the run: peak memory stays bounded by the in-flight
-  /// working set instead of growing with call count. Aggregates are
-  /// bit-identical to the buffered path, at any shard count.
-  bool stream_metrics = false;
+  /// Must stay true: records and the trace always fold out of the engine
+  /// at window barriers (see World), and validate_scenario rejects false.
+  /// The field exists only because perfbench/probe.cpp assigns it; delete
+  /// both together at the next change to the benchmark.
+  bool stream_metrics = true;
 
   // Update-family retry cap (the paper's schemes may retry unboundedly;
   // see DESIGN.md faithfulness note 7).
@@ -126,16 +125,6 @@ struct ScenarioConfig {
   /// retries, then the search/mode-3 fallback). 0 disables the timers —
   /// correct for fault-free runs, where every response always arrives.
   sim::Duration request_timeout = 0;
-
-  /// Radio-quality noise: probability that a given (cell, channel) is
-  /// fading — temporarily unusable for *new* acquisitions — during any
-  /// given coherence bucket. 0 (default) disables the model entirely.
-  /// The fade field is a pure hash of (seed, cell, channel, bucket), so
-  /// it consumes no RNG stream and perturbs no other draw.
-  double radio_fade_prob = 0.0;
-  /// Coherence time of a fade state, i.e. how long a (cell, channel)
-  /// stays faded/clear before being re-drawn.
-  sim::Duration radio_fade_bucket = sim::seconds(1);
 
   /// Offered load per cell in Erlangs normalized to the primary-set size:
   /// rho = lambda * holding / |PR|  =>  lambda = rho * |PR| / holding.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,6 +49,18 @@ sim::Duration cross_shard_lookahead(const net::LinkTable& links,
   return any ? floor_min : latency.min_one_way();
 }
 
+/// Canonical merge orders. Equal (time, cell) keys always come from one
+/// shard (a cell's records and events are made on its own shard), so a
+/// stable sort of the per-shard concatenation keeps their execution order.
+bool before_in_close_order(const metrics::CallRecord& a,
+                           const metrics::CallRecord& b) {
+  return a.t_decision != b.t_decision ? a.t_decision < b.t_decision
+                                      : a.cellId < b.cellId;
+}
+bool before_in_trace_order(const sim::TraceEvent& a, const sim::TraceEvent& b) {
+  return a.t != b.t ? a.t < b.t : a.cell < b.cell;
+}
+
 }  // namespace
 
 /// Per-shard NodeEnv. Nodes of shard s all share one env; `current` is
@@ -75,8 +88,6 @@ class World::ShardEnv final : public proto::NodeEnv {
   sim::EventId schedule_in(sim::Duration delay, sim::TimerFn fn) override;
   void cancel_scheduled(sim::EventId id) override;
   void record(const sim::TraceEvent& ev) override;
-  [[nodiscard]] bool channel_usable(CellId cellId,
-                                    cell::ChannelId ch) const override;
 };
 
 struct PendingFrame {
@@ -128,12 +139,10 @@ struct alignas(64) World::ShardState {
 
   // -- calls & metrics --------------------------------------------------
   metrics::Collector collector;  // records whose request cell is local
-  std::vector<std::pair<std::uint64_t, net::MsgKind>> foreign_bills;
-  // Streaming-mode message attribution: total attributed messages per
-  // serial, merged across shards by summation at run end. Replaces both
-  // the per-record per-kind arrays and the foreign-billing log (only the
-  // two message Summaries ever read a record's messages, and only as a
-  // total), so a bill landing after its record was folded is still exact.
+  // Message attribution: messages billed per serial on this shard, summed
+  // across shards when read. A bill is exact wherever it lands — a
+  // migrated leg's record lives on whichever shard the handoff reached —
+  // and also when it lands after its record was folded.
   std::vector<std::uint32_t> msg_tally_base;                       // serial - 1
   std::unordered_map<std::uint64_t, std::uint32_t> msg_tally_hop;  // handoff legs
   std::unordered_map<std::uint64_t, PendingCall> pending;
@@ -205,9 +214,6 @@ void World::ShardEnv::record(const sim::TraceEvent& ev) {
     world->states_[static_cast<std::size_t>(shard)].trace.push_back(ev);
   }
 }
-bool World::ShardEnv::channel_usable(CellId cellId, cell::ChannelId ch) const {
-  return world->noise_.usable(cellId, ch, now());
-}
 
 // -- construction ----------------------------------------------------------
 
@@ -227,12 +233,12 @@ World::World(const ScenarioConfig& config, Scheme scheme,
       links_(grid_),
       latency_(latency_override ? std::move(latency_override)
                                 : make_scenario_latency(config)),
-      noise_(config.seed, config.radio_fade_prob, config.radio_fade_bucket),
       partition_(cell::make_partition(grid_, config.shards, config.partition)),
       kernel_(partition_, config.shards,
               cross_shard_lookahead(links_, *latency_, partition_),
               config.threads),
-      states_(static_cast<std::size_t>(config.shards)) {
+      states_(static_cast<std::size_t>(config.shards)),
+      builder_(latency_->max_one_way(), config.warmup) {
   // A broken reuse plan voids every guarantee downstream; fail fast even
   // in release builds (e.g. a torus whose dimensions don't fit the
   // cluster pattern: cluster 7 needs rows % 14 == 0 and cols % 7 == 0).
@@ -349,23 +355,13 @@ World::World(const ScenarioConfig& config, Scheme scheme,
   }
 
   kernel_.set_pin_threads(config_.pin);
-  if (config_.stream_metrics) {
-    streaming_ = true;
-    builder_.emplace(latency_->max_one_way(), config_.warmup);
-    for (ShardState& st : states_) {
-      st.collector.set_streaming(true);
-      st.msg_tally_base.assign(arrivals_.call_cell.size(), 0);
-    }
-    if (tracing_) {
-      conform_ = std::make_unique<ConformanceChecker>(grid_, config_.n_channels);
-    }
-    // Windows are one lookahead (~ms) wide, so folding every barrier
-    // would pay the O(shards + grid) sweep ~10^5 times; a ~1-second
-    // stride keeps the backlog small (one second of closed records and
-    // trace) at ~duration-in-seconds folds per run.
-    fold_stride_ = std::max<sim::Duration>(sim::seconds(1), sim::milliseconds(1));
-    kernel_.set_window_hook([this](sim::SimTime frontier) { on_window(frontier); });
+  for (ShardState& st : states_) {
+    st.msg_tally_base.assign(arrivals_.call_cell.size(), 0);
   }
+  if (tracing_) {
+    conform_ = std::make_unique<ConformanceChecker>(grid_, config_.n_channels);
+  }
+  kernel_.set_window_hook([this](sim::SimTime frontier) { on_window(frontier); });
 }
 
 World::~World() = default;
@@ -503,44 +499,15 @@ void World::net_send(int s, net::Message msg) {
   ++st.total_sent;
   if (kernel_.shard_of(msg.to) != s) ++st.cross_shard_sent;
   ++st.by_kind[static_cast<std::size_t>(msg.kind)];
-  // Metrics attribution: bill locally when the
-  // request cell lives on this shard, else log for the merge step —
-  // per-record message counts are order-independent, so deferred billing
-  // is exact.
-  if (msg.serial == 0 || msg.kind == net::MsgKind::kHandoff) {
-    // HANDOFF carries the *next* leg's serial, whose record does not open
-    // until the message lands, so it is unattributable.
-    st.collector.on_message(msg);  // counts it as unattributable
-  } else if (streaming_) {
-    // Streaming attribution: a flat count per serial, summed across
-    // shards at run end. No knows()/foreign-bill routing — the tally is
-    // attribution-exact wherever the bill lands, and it stays correct
-    // for bills arriving after the record was folded out of the engine.
+  // Bill the message to its request's serial. HANDOFF carries the *next*
+  // leg's serial, whose record does not open until the message lands, so
+  // it is billed to no call.
+  if (msg.serial != 0 && msg.kind != net::MsgKind::kHandoff) {
     if (traffic::mobility::hop_of(msg.serial) > 0) {
       ++st.msg_tally_hop[msg.serial];
     } else {
       assert(msg.serial <= arrivals_.call_cell.size());
       ++st.msg_tally_base[static_cast<std::size_t>(msg.serial - 1)];
-    }
-  } else if (traffic::mobility::hop_of(msg.serial) > 0) {
-    // Migrated leg: the record lives on whichever shard the handoff
-    // landed on, which is not computable from the serial alone. Exactly
-    // one collector ever opens a given serial (the landing cell's), so
-    // knows() routes the bill, and everything else goes to the merge-time
-    // foreign log — the record provably exists by then, because messages
-    // carrying a serial are only ever sent after its record opened.
-    if (st.collector.knows(msg.serial)) {
-      st.collector.bill(msg.serial, msg.kind);
-    } else {
-      st.foreign_bills.emplace_back(msg.serial, msg.kind);
-    }
-  } else {
-    assert(msg.serial <= arrivals_.call_cell.size());
-    const CellId owner = arrivals_.call_cell[msg.serial - 1];
-    if (kernel_.shard_of(owner) == s) {
-      st.collector.bill(msg.serial, msg.kind);
-    } else {
-      st.foreign_bills.emplace_back(msg.serial, msg.kind);
     }
   }
   if (transport_) {
@@ -1116,9 +1083,7 @@ void World::submit_call(const traffic::CallSpec& spec) {
   auto& call_cell = arrivals_.call_cell;
   if (serial > call_cell.size()) {
     call_cell.resize(serial, cell::kNoCell);
-    if (streaming_) {
-      for (ShardState& st : states_) st.msg_tally_base.resize(serial, 0);
-    }
+    for (ShardState& st : states_) st.msg_tally_base.resize(serial, 0);
   }
   if (call_cell[serial - 1] != cell::kNoCell) {
     std::fprintf(stderr, "World: call id %llu offered twice\n",
@@ -1144,7 +1109,7 @@ void World::schedule_in(CellId owner, sim::Duration delay,
 
 void World::run_until(sim::SimTime deadline) {
   kernel_.run_until(deadline);
-  if (tracing_ && !streaming_) flush_trace();
+  fold_to(now());
 }
 
 void World::run_to_quiescence() {
@@ -1152,7 +1117,7 @@ void World::run_to_quiescence() {
   // Bring every shard clock to the last event's instant, so the next step
   // call acts at one global now().
   kernel_.run_until(kernel_.max_now());
-  if (tracing_ && !streaming_) flush_trace();
+  fold_to(now());
 }
 
 sim::Duration World::latency_bound() const { return latency_->max_one_way(); }
@@ -1201,6 +1166,7 @@ net::TransportStats World::transport_stats() const {
 // -- run & merge -----------------------------------------------------------
 
 void World::run() {
+  keep_log_ = false;
   kernel_.run_until(config_.duration);
   kernel_.run_to_quiescence();
 }
@@ -1216,24 +1182,26 @@ bool World::quiescent() const {
   return true;
 }
 
-// Streaming fold: runs inside the kernel's window hook, on exactly one
-// worker while the others are parked at the barrier. Window monotonicity
-// gives the correctness argument: every event executed so far fired at
-// when < frontier, so every closed record has t_decision < frontier and
-// every buffered trace entry has t < frontier — the drains below take
-// *complete* per-shard buffers, and everything a later fold drains is
-// >= this frontier. Per-batch canonical sorting + concatenation across
-// folds therefore reproduces the end-of-run global merge exactly.
+// The fold runs inside the kernel's window hook, on exactly one worker
+// while the others are parked at the barrier, and on the calling thread at
+// the end of each step. Window monotonicity gives the correctness
+// argument: at a barrier every event executed so far fired at
+// when < frontier, so every buffered trace entry has t < frontier and the
+// drain below takes *complete* per-shard buffers; everything a later fold
+// drains is >= this frontier. Per-batch canonical sorting + concatenation
+// across folds therefore reproduces one global canonical sort. Records
+// fold only below the step clock: a step call between steps acts at now()
+// and may close a record there, which must still sort among its equals.
 void World::on_window(sim::SimTime frontier) {
   if (frontier < next_fold_) return;
-  next_fold_ = frontier + fold_stride_;
-  fold_to(frontier);
+  // Windows are one lookahead (~ms) wide, so folding every barrier would
+  // pay the O(shards + grid) sweep ~10^5 times; a one-second stride keeps
+  // the backlog small at ~duration-in-seconds folds per run.
+  next_fold_ = frontier + sim::seconds(1);
+  fold_to(std::min(frontier, kernel_.max_now()));
 }
 
 void World::fold_to(sim::SimTime frontier) {
-  // Records: same comparator as the buffered merge; equal (t_decision,
-  // cell) keys always share a shard, so stable sort reproduces the
-  // canonical close order within the batch.
   std::vector<metrics::CallRecord> batch;
   for (ShardState& st : states_) {
     std::vector<metrics::CallRecord> part =
@@ -1242,21 +1210,17 @@ void World::fold_to(sim::SimTime frontier) {
                  std::make_move_iterator(part.end()));
   }
   if (!batch.empty()) {
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const metrics::CallRecord& a, const metrics::CallRecord& b) {
-                       return a.t_decision != b.t_decision
-                                  ? a.t_decision < b.t_decision
-                                  : a.cellId < b.cellId;
-                     });
+    std::stable_sort(batch.begin(), batch.end(), before_in_close_order);
     // Neighbour samples need timeline entries at or before each close —
     // resolve them *before* pruning.
     flags_.apply_neighbor_samples(grid_, batch);
     for (const metrics::CallRecord& r : batch) {
-      if (builder_->add_core(r)) {
+      if (builder_.add_core(r)) {
         fold_order_.emplace_back(
             r.serial, metrics::AggregateBuilder::acquired_outcome(r.outcome));
       }
     }
+    if (keep_log_) log_.insert(log_.end(), batch.begin(), batch.end());
   }
   // Every remaining record closes at >= frontier, so the earliest future
   // flags query bounds at frontier - 1; prune_before keeps exactly the
@@ -1272,120 +1236,59 @@ void World::fold_to(sim::SimTime frontier) {
       events.insert(events.end(), st.trace.begin(), st.trace.end());
       st.trace.clear();
     }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const sim::TraceEvent& a, const sim::TraceEvent& b) {
-                       return a.t != b.t ? a.t < b.t : a.cell < b.cell;
-                     });
+    std::stable_sort(events.begin(), events.end(), before_in_trace_order);
     for (const sim::TraceEvent& e : events) {
-      if (conform_) conform_->feed(e);
+      conform_->feed(e);
       trace_->emit(e);
     }
   }
 }
 
-std::vector<metrics::CallRecord> World::merged_records() const {
-  // Canonical record merge: concatenate per shard (each shard's records
-  // are in its execution order), stable-sort by (decision time, cell).
-  // Equal keys only ever come from the same shard — a cell closes all its
-  // records on its own shard — so stability reproduces the global
-  // canonical close order exactly.
-  std::vector<metrics::CallRecord> merged;
-  std::size_t total_records = 0;
-  for (const ShardState& st : states_) total_records += st.collector.records().size();
-  merged.reserve(total_records);
+std::uint32_t World::billed(std::uint64_t serial) const {
+  std::uint32_t n = 0;
+  const bool leg = traffic::mobility::hop_of(serial) > 0;
   for (const ShardState& st : states_) {
-    const auto& recs = st.collector.records();
-    merged.insert(merged.end(), recs.begin(), recs.end());
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const metrics::CallRecord& a, const metrics::CallRecord& b) {
-                     return a.t_decision != b.t_decision
-                                ? a.t_decision < b.t_decision
-                                : a.cellId < b.cellId;
-                   });
-
-  // Apply foreign billing logs (messages observed on a shard that does
-  // not own the serial's record). A bill for a record still open is
-  // applied when the record closes into a later merge.
-  std::unordered_map<std::uint64_t, std::size_t> by_serial;
-  by_serial.reserve(merged.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) by_serial.emplace(merged[i].serial, i);
-  for (const ShardState& st : states_) {
-    for (const auto& [serial, kind] : st.foreign_bills) {
-      const auto it = by_serial.find(serial);
-      if (it != by_serial.end()) {
-        ++merged[it->second].messages[static_cast<std::size_t>(kind)];
-      }
+    if (leg) {
+      const auto it = st.msg_tally_hop.find(serial);
+      if (it != st.msg_tally_hop.end()) n += it->second;
+    } else {
+      n += st.msg_tally_base[static_cast<std::size_t>(serial - 1)];
     }
   }
-
-  // Reconstruct the deferred neighbour samples from the flag timelines
-  // (see flag_timeline.hpp).
-  flags_.apply_neighbor_samples(grid_, merged);
-  return merged;
+  return n;
 }
 
 const std::vector<metrics::CallRecord>& World::records() const {
-  records_view_ = merged_records();
-  return records_view_;
-}
-
-void World::flush_trace() {
-  // Canonical trace merge — the same argument as the record merge: every
-  // event is emitted on shard_of(event.cell), so equal (t, cell) keys
-  // share a shard and stable sort preserves their execution order.
-  std::vector<sim::TraceEvent> events;
-  std::size_t total_events = 0;
-  for (const ShardState& st : states_) total_events += st.trace.size();
-  if (total_events == 0) return;
-  events.reserve(total_events);
-  for (ShardState& st : states_) {
-    events.insert(events.end(), st.trace.begin(), st.trace.end());
-    st.trace.clear();
+  // The log is canonical and every record still in a collector closed at
+  // or after the last fold frontier, so the tail's canonical merge
+  // appends after it.
+  records_view_ = log_;
+  const auto head = static_cast<std::ptrdiff_t>(records_view_.size());
+  for (const ShardState& st : states_) {
+    const std::vector<metrics::CallRecord>& part = st.collector.closed();
+    records_view_.insert(records_view_.end(), part.begin(), part.end());
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const sim::TraceEvent& a, const sim::TraceEvent& b) {
-                     return a.t != b.t ? a.t < b.t : a.cell < b.cell;
-                   });
-  for (const sim::TraceEvent& e : events) trace_->emit(e);
+  const std::span<metrics::CallRecord> tail(records_view_.begin() + head,
+                                            records_view_.end());
+  std::stable_sort(tail.begin(), tail.end(), before_in_close_order);
+  flags_.apply_neighbor_samples(grid_, tail);
+  for (metrics::CallRecord& r : records_view_) r.messages = billed(r.serial);
+  return records_view_;
 }
 
 RunResult World::result() {
   RunResult out;
   out.scheme = scheme_;
 
-  if (streaming_) {
-    // Drain whatever closed after the last stride fold (the quiescence
-    // tail runs past `duration`, so use an unbounded frontier), then
-    // merge the per-shard message tallies by summation and replay the two
-    // deferred message Summaries in fold order — the only Summaries whose
-    // inputs (final per-serial totals) are unknown at fold time.
-    fold_to(sim::kTimeNever);
-    ShardState& acc = states_.front();
-    for (std::size_t s = 1; s < states_.size(); ++s) {
-      const ShardState& st = states_[s];
-      for (std::size_t i = 0; i < st.msg_tally_base.size(); ++i) {
-        acc.msg_tally_base[i] += st.msg_tally_base[i];
-      }
-      for (const auto& [serial, count] : st.msg_tally_hop) {
-        acc.msg_tally_hop[serial] += count;
-      }
-    }
-    for (const auto& [serial, acquired] : fold_order_) {
-      std::uint32_t total = 0;
-      if (traffic::mobility::hop_of(serial) > 0) {
-        const auto it = acc.msg_tally_hop.find(serial);
-        if (it != acc.msg_tally_hop.end()) total = it->second;
-      } else {
-        total = acc.msg_tally_base[static_cast<std::size_t>(serial - 1)];
-      }
-      builder_->add_messages(total, acquired);
-    }
-    out.agg = builder_->finish();
-  } else {
-    out.agg = metrics::aggregate_records(merged_records(),
-                                         latency_->max_one_way(), config_.warmup);
+  // Drain whatever closed after the last fold (the quiescence tail runs
+  // past `duration`, so use an unbounded frontier), then replay the two
+  // deferred message Summaries in fold order — the only Summaries whose
+  // inputs (final per-serial bills) are unknown at fold time.
+  fold_to(sim::kTimeNever);
+  for (const auto& [serial, acquired] : fold_order_) {
+    builder_.add_messages(billed(serial), acquired);
   }
+  out.agg = builder_.finish();
 
   std::int64_t usage = 0;
   for (const ShardState& st : states_) {
@@ -1411,18 +1314,14 @@ RunResult World::result() {
   out.executed_events = kernel_.executed();
   out.quiescent = quiescent();
 
-  if (trace_ != nullptr) {
-    // Streaming mode already emitted everything through fold_to.
-    if (!streaming_) flush_trace();
+  if (tracing_) {
     sim::TraceEvent end;
     end.kind = sim::TraceKind::kRunEnd;
     end.t = kernel_.max_now();
     end.a = out.quiescent ? 1 : 0;
     end.b = static_cast<std::int64_t>(active_calls());
-    if (conform_) conform_->feed(end);
+    conform_->feed(end);
     trace_->emit(end);
-  }
-  if (conform_) {
     const ConformanceReport rep = conform_->finish();
     out.conformance_checked = true;
     out.conformance_violations = rep.violations.size();

@@ -19,14 +19,21 @@
 //
 // Cross-shard effects travel exclusively as message deliveries (delay >=
 // the latency floor), satisfying the kernel's lookahead contract. Results
-// merge exactly: integer counters and int64 usage integrals sum; call
-// records and trace events concatenate and stable-sort by (time, cell),
-// which reproduces the canonical global order because same-(time, cell)
-// entries always come from a single shard in execution order. Cross-shard
-// metric reads (the paper's N_borrow / N_search neighbour samples) are
-// reconstructed from per-cell flag-change timelines instead of sampled
-// live. Every output is therefore identical for any shard and thread
-// count (see docs/ARCHITECTURE.md for the argument and its limits).
+// merge exactly: integer counters, per-serial message tallies and int64
+// usage integrals sum; call records and trace events concatenate and
+// stable-sort by (time, cell), which reproduces the canonical global order
+// because same-(time, cell) entries always come from a single shard in
+// execution order. Cross-shard metric reads (the paper's N_borrow /
+// N_search neighbour samples) are reconstructed from per-cell flag-change
+// timelines instead of sampled live. Every output is therefore identical
+// for any shard and thread count (see docs/ARCHITECTURE.md for the
+// argument and its limits).
+//
+// Run products have one path: the fold (fold_to) drains closed records
+// and trace events in canonical order into the incremental aggregate, the
+// trace recorder and, with a trace attached, the in-engine conformance
+// checker — at ~1 s window strides, at the end of every step and at
+// result().
 //
 // Two ways to drive it:
 //   * run_profile (experiment.hpp): a LoadProfile's arrivals are drawn at
@@ -43,7 +50,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -56,7 +62,6 @@
 #include "net/link_table.hpp"
 #include "net/message.hpp"
 #include "proto/allocator.hpp"
-#include "radio/noise.hpp"
 #include "runner/flag_timeline.hpp"
 #include "runner/scenario.hpp"
 #include "sim/random.hpp"
@@ -95,7 +100,7 @@ struct RunResult {
   /// necessarily this one — meaningful for one-run processes (dcasim,
   /// the metro smoke test) and as an upper bound elsewhere.
   std::uint64_t peak_rss_bytes = 0;
-  /// In-engine conformance replay (streaming mode with a trace attached):
+  /// In-engine conformance replay (runs whenever a trace is attached):
   /// whether it ran, and how many invariant violations it found.
   bool conformance_checked = false;
   std::uint64_t conformance_violations = 0;
@@ -138,7 +143,9 @@ class World {
 
   // -- run_profile path ---------------------------------------------------
 
-  /// Runs through config.duration, then drains to quiescence.
+  /// Runs through config.duration, then drains to quiescence. Its only
+  /// product is result(): folded records are not kept, so records()
+  /// afterwards holds just the ones not folded yet.
   void run();
   /// Merges the per-shard results. Call once, after the last step; with a
   /// trace attached it emits the closing kRunEnd event.
@@ -203,9 +210,9 @@ class World {
   [[nodiscard]] std::uint64_t sent_of(net::MsgKind k) const;
   [[nodiscard]] net::TransportStats transport_stats() const;
   /// Every closed call record so far in canonical (decision time, cell)
-  /// order, with message bills and neighbour samples filled in. Rebuilt on
-  /// each call (invalidating the previous vector); empty when
-  /// config.stream_metrics folds records away.
+  /// order, with message bills and neighbour samples filled in: the log of
+  /// folded records plus the canonical merge of those not folded yet.
+  /// Rebuilt on each call (invalidating the previous vector).
   [[nodiscard]] const std::vector<metrics::CallRecord>& records() const;
 
  private:
@@ -309,15 +316,14 @@ class World {
                      cell::CellId peer, std::uint64_t serial, std::int64_t hop,
                      sim::SimTime ends);
 
-  /// Buffered trace: emits everything recorded so far in canonical order.
-  void flush_trace();
-  /// Streaming: folds everything that became final before `frontier`
-  /// into the incremental aggregate and releases its memory. Runs at
-  /// window barriers (every fold stride) and once at result().
+  /// Folds every record closed before `frontier` into the incremental
+  /// aggregate (and the log), and emits every buffered trace event in
+  /// canonical order. Runs at window barriers (every fold stride), at the
+  /// end of each step and at result().
   void on_window(sim::SimTime frontier);
   void fold_to(sim::SimTime frontier);
-  /// Buffered: the per-shard records, merged into canonical order.
-  [[nodiscard]] std::vector<metrics::CallRecord> merged_records() const;
+  /// Messages billed to `serial`, summed over the shards' tallies.
+  [[nodiscard]] std::uint32_t billed(std::uint64_t serial) const;
 
   ScenarioConfig config_;
   Scheme scheme_;
@@ -330,7 +336,6 @@ class World {
   // the per-link *state* lives in each ShardState's flat vectors.
   net::LinkTable links_;
   std::unique_ptr<net::LatencyModel> latency_;
-  radio::NoiseField noise_;
   std::vector<int> partition_;
   sim::ShardedKernel kernel_;
   std::vector<ShardState> states_;
@@ -375,20 +380,22 @@ class World {
   std::vector<std::uint32_t> rx_rank_;
 
   DeliveryObserver observer_;
-  mutable std::vector<metrics::CallRecord> records_view_;
 
-  // -- streaming-mode state (config_.stream_metrics) ---------------------
-  bool streaming_ = false;
-  std::optional<metrics::AggregateBuilder> builder_;
+  // -- run products -------------------------------------------------------
+  metrics::AggregateBuilder builder_;
   // Admitted records in fold order: (serial, acquired). The deferred
   // message Summaries replay over this at run end once the per-serial
-  // tallies are final — 9 bytes/call instead of a ~120-byte CallRecord.
+  // tallies are final — 16 bytes/call (sizeof the padded pair) instead of
+  // a ~64-byte CallRecord.
   std::vector<std::pair<std::uint64_t, bool>> fold_order_;
   sim::SimTime next_fold_ = 0;
-  sim::Duration fold_stride_ = 0;
+  // Every folded record, for records(); run() turns it off.
+  bool keep_log_ = true;
+  std::vector<metrics::CallRecord> log_;
+  mutable std::vector<metrics::CallRecord> records_view_;
   // In-engine conformance replay over the drained trace prefixes (the
-  // streamed trace may be spilled or discarded by the recorder's sink, so
-  // post-hoc check_trace is not an option).
+  // recorder's sink may spill or discard the trace, so it is checked as
+  // it is emitted).
   std::unique_ptr<ConformanceChecker> conform_;
 };
 

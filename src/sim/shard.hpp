@@ -226,7 +226,7 @@ class ShardedKernel {
   /// completed window's cap F: every event with when < F has executed,
   /// everything still pending fires at >= F. Runs on exactly one worker
   /// while the others are parked at the barrier, so it may safely touch
-  /// any simulation state (the streaming engine folds metrics here). Must
+  /// any simulation state (the world folds its run products here). Must
   /// not throw and should early-out cheaply — there is one barrier per
   /// lookahead interval, i.e. easily 10^5 calls per long run.
   void set_window_hook(std::function<void(SimTime)> hook) {

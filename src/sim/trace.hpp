@@ -92,9 +92,9 @@ struct TraceEvent {
 /// next emit), keeping the flush/compare API a plain vector.
 ///
 /// Sink mode: set_sink() reroutes every emit to a callback instead of the
-/// buffer — the streaming engine hands events over in canonical order as
-/// they become final, so a sink can spill them (JSONL to a stream) or
-/// discard them without the recorder ever holding the full run. A sinked
+/// buffer — the world hands events over in canonical order as they become
+/// final, so a sink can spill them (JSONL to a stream) or discard them
+/// without the recorder ever holding the full run. A sinked
 /// recorder stays empty: size() counts forwarded events, events() is
 /// whatever was buffered before the sink was installed.
 class TraceRecorder {

@@ -67,6 +67,12 @@ TEST(Adaptive, FourthCallBorrowsViaUpdateRound) {
                                          sim::minutes(5));
   w.run_until(w.now() + sim::seconds(1));
 
+  // Calls 1-3 hold their channels silently, so every message sent over
+  // the next step is call 4's.
+  const std::uint64_t sent0 = w.total_sent();
+  const std::uint64_t req0 = w.sent_of(net::MsgKind::kRequest);
+  const std::uint64_t resp0 = w.sent_of(net::MsgKind::kResponse);
+  const std::uint64_t acq0 = w.sent_of(net::MsgKind::kAcquisition);
   offer_call(w, c, 4, sim::minutes(5));
   w.run_until(w.now() + sim::seconds(1));
   const auto& r = w.records().back();
@@ -75,9 +81,10 @@ TEST(Adaptive, FourthCallBorrowsViaUpdateRound) {
   EXPECT_EQ(r.delay(), 2 * cfg.latency);  // one round trip
   // One update round: N requests + N responses; success needs no
   // ACQUISITION broadcast (the grants already informed everyone).
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kRequest)], N);
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kResponse)], N);
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kAcquisition)], 0u);
+  EXPECT_EQ(r.total_messages(), w.total_sent() - sent0);
+  EXPECT_EQ(w.sent_of(net::MsgKind::kRequest) - req0, N);
+  EXPECT_EQ(w.sent_of(net::MsgKind::kResponse) - resp0, N);
+  EXPECT_EQ(w.sent_of(net::MsgKind::kAcquisition) - acq0, 0u);
   // The borrowed channel is not one of c's primaries.
   const auto borrowedSet = w.node(c).in_use() - w.plan().primary(c);
   EXPECT_EQ(borrowedSet.size(), 1);

@@ -20,6 +20,12 @@ TEST(BasicSearch, SoloAcquisitionTakes2TAndOneRound) {
   World w(cfg, Scheme::kBasicSearch);
   const cell::CellId c = testutil::center_cell(cfg);
   const auto N = w.grid().interference(c).size();
+  // The call is the only one active, so every message sent over the
+  // window is its own.
+  const std::uint64_t sent0 = w.total_sent();
+  const std::uint64_t req0 = w.sent_of(net::MsgKind::kRequest);
+  const std::uint64_t resp0 = w.sent_of(net::MsgKind::kResponse);
+  const std::uint64_t acq0 = w.sent_of(net::MsgKind::kAcquisition);
   offer_call(w, c, 1, sim::minutes(1));
   w.run_until(sim::seconds(1));
 
@@ -31,9 +37,10 @@ TEST(BasicSearch, SoloAcquisitionTakes2TAndOneRound) {
   // REQUEST + RESPONSE to/from everyone, plus the decision announcement
   // (the paper's Table 1 charges only the first two — see DESIGN.md).
   EXPECT_EQ(r.total_messages(), 3 * N);
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kRequest)], N);
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kResponse)], N);
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kAcquisition)], N);
+  EXPECT_EQ(r.total_messages(), w.total_sent() - sent0);
+  EXPECT_EQ(w.sent_of(net::MsgKind::kRequest) - req0, N);
+  EXPECT_EQ(w.sent_of(net::MsgKind::kResponse) - resp0, N);
+  EXPECT_EQ(w.sent_of(net::MsgKind::kAcquisition) - acq0, N);
 }
 
 TEST(BasicSearch, NoReleaseMessagesAtCallEnd) {

@@ -1,5 +1,11 @@
-// Unit tests for the command-line option parser used by dcasim.
+// Unit tests for the command-line option parser used by dcasim, and for
+// the exit status dcasim gives options it no longer has.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
 
 #include "runner/cli.hpp"
 
@@ -102,6 +108,34 @@ TEST(Cli, NegativeNumbersParse) {
   const char* argv[] = {"tool", "--hot-cell", "-3"};
   ASSERT_TRUE(p.parse(3, argv));
   EXPECT_EQ(p.get_int("hot-cell"), -3);
+}
+
+TEST(Cli, DcasimRejectsRemovedOptions) {
+  // The run-product switch and the radio fade knob are gone: dcasim
+  // rejects their flags as unknown options (exit 2) before running.
+  struct Case {
+    const char* args;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"--stream-metrics", "dcasim: unknown option: --stream-metrics"},
+      {"--fade-prob 0.1", "dcasim: unknown option: --fade-prob"},
+      {"--fade-bucket-ms 500", "dcasim: unknown option: --fade-bucket-ms"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args);
+    const std::string cmd =
+        std::string(DCASIM_PATH) + " --duration-min 0.1 " + c.args + " 2>&1";
+    std::FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_EQ(out, std::string(c.message) + "\n(use --help)\n");
+  }
 }
 
 }  // namespace

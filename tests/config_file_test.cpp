@@ -45,6 +45,19 @@ TEST(ScenarioFile, RejectsUnknownKeyWithLineNumber) {
   EXPECT_NE(err.find("bogus"), std::string::npos);
 }
 
+TEST(ScenarioFile, RejectsRemovedKeysAsUnknown) {
+  // The run-product switch and the radio fade knob are gone; their old
+  // keys are rejected like any other unknown key.
+  for (const char* key :
+       {"stream_metrics", "radio_fade_prob", "radio_fade_bucket_ms"}) {
+    ScenarioConfig cfg;
+    std::string err;
+    EXPECT_FALSE(runner::apply_scenario_text(std::string(key) + " = 1\n", cfg,
+                                             err));
+    EXPECT_EQ(err, "line 1: unknown key '" + std::string(key) + "'");
+  }
+}
+
 TEST(ScenarioFile, RejectsMalformedValues) {
   ScenarioConfig cfg;
   std::string err;

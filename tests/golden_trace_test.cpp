@@ -5,9 +5,8 @@
 // headline RunResult fields (counts, bit-exact floating-point aggregates,
 // per-kind message counters, transport and availability counters). Each
 // case must reproduce both digests at every shard count and worker thread
-// count, buffered and streaming alike — so the digests pin the behaviour
-// across refactors, and shard-count invariance pins the kernel's canonical
-// event order.
+// count — so the digests pin the behaviour across refactors, and
+// shard-count invariance pins the kernel's canonical event order.
 //
 // A digest mismatch means the simulation changed. If the change is
 // intended (a protocol fix, a new trace field), re-derive the table from
@@ -151,13 +150,11 @@ struct Digest {
 struct Engine {
   int shards;
   int threads;
-  bool stream;
 };
 
 std::string engine_name(const Engine& e) {
   return "shards=" + std::to_string(e.shards) +
-         " threads=" + std::to_string(e.threads) +
-         (e.stream ? " streaming" : " buffered");
+         " threads=" + std::to_string(e.threads);
 }
 
 // kGolden[scenario][scheme], schemes in runner::kAllSchemes order.
@@ -197,8 +194,7 @@ class GoldenTrace : public ::testing::TestWithParam<Scenario> {};
 TEST_P(GoldenTrace, DigestsHoldAtEveryShardAndThreadCount) {
   const Scenario scenario = GetParam();
   const std::vector<Engine> engines = {
-      {1, 1, false}, {1, 4, false}, {2, 1, false}, {2, 4, false},
-      {4, 1, false}, {4, 4, false}, {1, 1, true},  {4, 4, true},
+      {1, 1}, {1, 4}, {2, 1}, {2, 4}, {4, 1}, {4, 4},
   };
   for (std::size_t k = 0; k < std::size(runner::kAllSchemes); ++k) {
     const Scheme scheme = runner::kAllSchemes[k];
@@ -209,12 +205,12 @@ TEST_P(GoldenTrace, DigestsHoldAtEveryShardAndThreadCount) {
       runner::ScenarioConfig cfg = scenario_config(scenario);
       cfg.shards = e.shards;
       cfg.threads = e.threads;
-      cfg.stream_metrics = e.stream;
       sim::TraceRecorder rec;
       const RunResult r = run_case(scenario, scheme, cfg, &rec);
       ASSERT_GT(rec.size(), 0u);
       EXPECT_EQ(r.violations, 0u);
       EXPECT_TRUE(r.quiescent);
+      EXPECT_TRUE(r.conformance_ok());
       if (scenario == Scenario::kCocktail) {
         EXPECT_GT(r.transport.frames_dropped, 0u) << "faults should be active";
       }

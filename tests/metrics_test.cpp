@@ -1,5 +1,5 @@
 // Unit tests for the metrics layer: summaries, histograms, the per-call
-// collector with message attribution, and the aggregate ξ/m statistics.
+// collector, and the aggregate ξ/m statistics.
 #include <gtest/gtest.h>
 
 #include "metrics/collector.hpp"
@@ -79,43 +79,10 @@ class CollectorFixture : public ::testing::Test {
  protected:
   Collector c;
 
-  net::Message billed(std::uint64_t serial, net::MsgKind kind) {
-    net::Message m;
-    m.kind = kind;
-    m.serial = serial;
-    m.from = 0;
-    m.to = 1;
-    return m;
+  [[nodiscard]] Aggregate aggregate(sim::Duration T, sim::SimTime warmup = 0) const {
+    return aggregate_records(c.closed(), T, warmup);
   }
 };
-
-TEST_F(CollectorFixture, BillsMessagesToOpenRecord) {
-  c.open(1, 100, 5, 0, false);
-  c.on_message(billed(1, net::MsgKind::kRequest));
-  c.on_message(billed(1, net::MsgKind::kResponse));
-  c.on_message(billed(1, net::MsgKind::kResponse));
-  c.close(1, 2000, proto::Outcome::kAcquiredUpdate, 1, 2, 0);
-  ASSERT_EQ(c.records().size(), 1u);
-  const CallRecord& r = c.records()[0];
-  EXPECT_EQ(r.total_messages(), 3u);
-  EXPECT_EQ(r.messages[static_cast<std::size_t>(net::MsgKind::kResponse)], 2u);
-  EXPECT_EQ(r.delay(), 2000);
-}
-
-TEST_F(CollectorFixture, BillsPostCloseMessagesToClosedRecord) {
-  c.open(1, 100, 5, 0, false);
-  c.close(1, 10, proto::Outcome::kAcquiredLocal, 0, 0, 0);
-  // The end-of-call RELEASE arrives long after the acquisition closed.
-  c.on_message(billed(1, net::MsgKind::kRelease));
-  EXPECT_EQ(c.records()[0].total_messages(), 1u);
-  EXPECT_EQ(c.unattributed_messages(), 0u);
-}
-
-TEST_F(CollectorFixture, UnattributedMessagesCounted) {
-  c.on_message(billed(0, net::MsgKind::kChangeMode));
-  c.on_message(billed(999, net::MsgKind::kRelease));  // unknown serial
-  EXPECT_EQ(c.unattributed_messages(), 2u);
-}
 
 TEST_F(CollectorFixture, AggregateComputesXiFractionsAndM) {
   // 2 local, 1 update (3 attempts), 1 search, 1 blocked.
@@ -130,7 +97,7 @@ TEST_F(CollectorFixture, AggregateComputesXiFractionsAndM) {
   c.open(5, 5, 4, 0, false);
   c.close(5, 70000, proto::Outcome::kBlockedNoChannel, 3, 0, 0);
 
-  const Aggregate a = c.aggregate(/*T=*/5000);
+  const Aggregate a = aggregate(/*T=*/5000);
   EXPECT_EQ(a.offered, 5u);
   EXPECT_EQ(a.acquired, 4u);
   EXPECT_EQ(a.blocked, 1u);
@@ -150,7 +117,7 @@ TEST_F(CollectorFixture, WarmupDiscardsEarlyRecords) {
   c.close(1, 0, proto::Outcome::kAcquiredLocal, 0, 0, 0);
   c.open(2, 2, 0, /*now=*/100, false);
   c.close(2, 100, proto::Outcome::kBlockedNoChannel, 0, 0, 0);
-  const Aggregate a = c.aggregate(1, /*warmup=*/50);
+  const Aggregate a = aggregate(1, /*warmup=*/50);
   EXPECT_EQ(a.offered, 1u);
   EXPECT_EQ(a.blocked, 1u);
 }
@@ -158,7 +125,7 @@ TEST_F(CollectorFixture, WarmupDiscardsEarlyRecords) {
 TEST_F(CollectorFixture, StarvedAndHandoffTracking) {
   c.open(1, 1, 0, 0, /*is_handoff=*/true);
   c.close(1, 10, proto::Outcome::kBlockedStarved, 10, 0, 0);
-  const Aggregate a = c.aggregate(1);
+  const Aggregate a = aggregate(1);
   EXPECT_EQ(a.starved, 1u);
   EXPECT_EQ(a.handoff_failures, 1u);
   EXPECT_DOUBLE_EQ(a.drop_rate(), 1.0);

@@ -1,4 +1,4 @@
-// Metro-scale smoke: a 60x60-cell high-load streaming run in its own test
+// Metro-scale smoke: a 60x60-cell high-load run in its own test
 // binary (so getrusage's process-wide peak-RSS high-water mark measures
 // this run, not a neighbouring test), gating on
 //
@@ -45,7 +45,6 @@ TEST(MetroSmoke, HighLoadStreamingRunStaysConformantWithinMemoryBudget) {
   cfg.duration = sim::seconds(30);
   cfg.warmup = sim::seconds(5);
   cfg.shards = 4;
-  cfg.stream_metrics = true;
 
   // Discarding sink: the engine folds the trace out in canonical order,
   // the conformance checker sees every event, and nothing accumulates.

@@ -1,4 +1,4 @@
-// Lossy-transport memory smoke: a 48x48 high-load streaming run over the
+// Lossy-transport memory smoke: a 48x48 high-load run over the
 // reliable transport (1% frame loss, 200 ms request timeouts) on 4
 // shards, in its own test binary so getrusage's process-wide peak-RSS
 // high-water mark measures this run alone. It gates on
@@ -40,7 +40,6 @@ TEST(MetroTransportSmoke, LossyStreamingRunStaysConformantWithinMemoryBudget) {
   cfg.duration = sim::seconds(15);
   cfg.warmup = sim::seconds(5);
   cfg.shards = 4;
-  cfg.stream_metrics = true;
   cfg.fault.drop_prob = 0.01;
   cfg.request_timeout = sim::milliseconds(200);
 

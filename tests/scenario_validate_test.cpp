@@ -195,7 +195,7 @@ TEST(ValidateScenario, ShardedEngineConstraints) {
             std::string::npos);
   // The lookahead comes from the per-link latency floors, so a zero
   // latency has no conservative window to offer — at any shard count,
-  // buffered or streaming, with one exact message.
+  // with one exact message.
   const std::string kLatencyRule =
       "need latency > 0 (the per-link latency floors are the engine's "
       "lookahead)";
@@ -206,10 +206,16 @@ TEST(ValidateScenario, ShardedEngineConstraints) {
   EXPECT_EQ(validate_scenario(c), kLatencyRule);
   c.shards = 1;
   EXPECT_EQ(validate_scenario(c), kLatencyRule);
-  c.stream_metrics = true;
-  EXPECT_EQ(validate_scenario(c), kLatencyRule);
   c.latency = -1;
   EXPECT_EQ(validate_scenario(c), kLatencyRule);
+
+  // Records and the trace always fold out of the engine; the buffered
+  // path that stream_metrics = false once selected is gone.
+  c = ScenarioConfig{};
+  EXPECT_TRUE(c.stream_metrics);
+  c.stream_metrics = false;
+  EXPECT_EQ(validate_scenario(c),
+            "stream_metrics must be true (the buffered metrics path is gone)");
 
   // Jitter and mobility are legal at any shard count: both draw from
   // streams keyed by stable identifiers, not by execution order.

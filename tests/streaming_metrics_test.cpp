@@ -1,15 +1,17 @@
 // Run products pinned as digests. Call records and the trace are folded
 // out of the engine at window barriers instead of being buffered for the
-// whole run, and the bar is *bit identity* with the buffered reduction —
-// the same Aggregate doubles and the same trace byte for byte — on the
-// golden scenarios the paper tables are reproduced from (Table 2's
-// low-load point, Table 3's high-load sweep points) and on the engine's
-// hard configurations (multi-shard, latency jitter, mobility).
+// whole run, and the bar is *bit identity* with a reduction over the
+// whole buffered run — the same Aggregate doubles and the same trace byte
+// for byte — on the golden scenarios the paper tables are reproduced from
+// (Table 2's low-load point, Table 3's high-load sweep points) and on the
+// engine's hard configurations (multi-shard, latency jitter, mobility).
 //
 // Each digest below is FNV-1a over every field a metrics::Table cell or
-// the JSON output can be rendered from (doubles as hex floats), taken
-// from the buffered reduction and reproduced by the streaming fold. A
-// mismatch means the simulation or its reduction changed.
+// the JSON output can be rendered from (doubles as hex floats). The
+// digests were taken from the buffered reduction the engine used to keep
+// beside the fold, and the fold reproduced them before that path was
+// deleted; "MatchesBuffered" in a test name refers to that pinned
+// reduction. A mismatch means the simulation or its reduction changed.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -90,19 +92,13 @@ std::string run_text(const RunResult& r) {
   return s;
 }
 
-/// Runs `base` at `rho`, buffered and streaming, and checks both against
-/// the pinned digest.
-void expect_pinned(const ScenarioConfig& base, Scheme scheme, double rho,
+/// Runs `cfg` at `rho` and checks the result against the pinned digest.
+void expect_pinned(const ScenarioConfig& cfg, Scheme scheme, double rho,
                    std::uint64_t want) {
-  for (const bool stream : {false, true}) {
-    SCOPED_TRACE(stream ? "streaming" : "buffered");
-    ScenarioConfig cfg = base;
-    cfg.stream_metrics = stream;
-    const RunResult r = runner::run_uniform(cfg, scheme, rho);
-    const std::uint64_t got = fnv1a(run_text(r));
-    EXPECT_EQ(got, want) << std::hex << "digest 0x" << got << "\n"
-                         << run_text(r);
-  }
+  const RunResult r = runner::run_uniform(cfg, scheme, rho);
+  const std::uint64_t got = fnv1a(run_text(r));
+  EXPECT_EQ(got, want) << std::hex << "digest 0x" << got << "\n"
+                       << run_text(r);
 }
 
 TEST(StreamingMetrics, GoldenLowLoadPointMatchesBuffered) {
@@ -158,23 +154,17 @@ TEST(StreamingMetrics, StreamedTraceIsByteIdenticalAndConformant) {
   cfg.duration = sim::minutes(3);
   cfg.shards = 4;
   cfg.mean_dwell_s = 120.0;
-  for (const bool stream : {false, true}) {
-    SCOPED_TRACE(stream ? "streaming" : "buffered");
-    cfg.stream_metrics = stream;
-    sim::TraceRecorder rec;  // no sink: buffers the emitted trace
-    const RunResult r = runner::run_uniform(cfg, Scheme::kAdaptive, 0.9, &rec);
-    const std::uint64_t trace = fnv1a(runner::trace_to_jsonl(rec.events()));
-    const std::uint64_t result = fnv1a(run_text(r));
-    EXPECT_EQ(trace, kWantTrace) << std::hex << "trace digest 0x" << trace;
-    EXPECT_EQ(result, kWantResult) << std::hex << "result digest 0x" << result;
-    // With a trace attached, streaming replays it through the in-engine
-    // conformance checker.
-    if (stream) {
-      EXPECT_TRUE(r.conformance_checked);
-      EXPECT_EQ(r.conformance_violations, 0u);
-      EXPECT_TRUE(r.conformance_ok());
-    }
-  }
+  sim::TraceRecorder rec;  // no sink: buffers the emitted trace
+  const RunResult r = runner::run_uniform(cfg, Scheme::kAdaptive, 0.9, &rec);
+  const std::uint64_t trace = fnv1a(runner::trace_to_jsonl(rec.events()));
+  const std::uint64_t result = fnv1a(run_text(r));
+  EXPECT_EQ(trace, kWantTrace) << std::hex << "trace digest 0x" << trace;
+  EXPECT_EQ(result, kWantResult) << std::hex << "result digest 0x" << result;
+  // With a trace attached, the engine replays it through the in-engine
+  // conformance checker as it folds it out.
+  EXPECT_TRUE(r.conformance_checked);
+  EXPECT_EQ(r.conformance_violations, 0u);
+  EXPECT_TRUE(r.conformance_ok());
 }
 
 TEST(StreamingMetrics, SmallGridSingleShardStreams) {
@@ -186,7 +176,6 @@ TEST(StreamingMetrics, SmallGridSingleShardStreams) {
 TEST(StreamingMetrics, PeakRssIsReported) {
   ScenarioConfig cfg = testutil::small_config();
   cfg.duration = sim::minutes(2);
-  cfg.stream_metrics = true;
   const RunResult r = runner::run_uniform(cfg, Scheme::kAdaptive, 0.5);
 #ifdef __linux__
   EXPECT_GT(r.peak_rss_bytes, 0u);

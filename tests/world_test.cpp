@@ -90,6 +90,30 @@ TEST(World, HandoffFailureDropsCall) {
   EXPECT_TRUE(w.quiescent());
 }
 
+TEST(World, RecordsBillMessagesSentAfterTheDecision) {
+  // The end-of-call RELEASE is sent long after the record closed and was
+  // folded (the call outlives several one-second fold strides); records()
+  // must still bill it, wherever the sending and answering cells' shards
+  // are.
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    auto cfg = small_config();
+    cfg.shards = shards;
+    World w(cfg, Scheme::kBasicUpdate);
+    offer_call(w, testutil::center_cell(cfg), 1, sim::seconds(5));
+    w.run_until(sim::seconds(3));
+    ASSERT_EQ(w.records().size(), 1u);
+    const std::uint32_t at_decision = w.records()[0].total_messages();
+    EXPECT_EQ(at_decision, w.total_sent());
+    w.run_to_quiescence();
+    ASSERT_GT(w.sent_of(net::MsgKind::kRelease), 0u);
+    ASSERT_EQ(w.records().size(), 1u);
+    EXPECT_EQ(w.records()[0].total_messages(), w.total_sent());
+    EXPECT_EQ(w.records()[0].total_messages(),
+              at_decision + w.sent_of(net::MsgKind::kRelease));
+  }
+}
+
 TEST(Experiment, RunUniformProducesConsistentAggregate) {
   auto cfg = small_config();
   cfg.duration = sim::minutes(5);

@@ -88,11 +88,6 @@ int main(int argc, char** argv) {
       .add_string("partition", "blocks",
                   "cell->shard map: blocks (hex blocks) | striped (cell % shards)")
       .add_flag("pin", "pin sharded-engine workers to distinct CPUs (Linux)")
-      .add_flag("stream-metrics",
-                "fold metrics/trace out of the engine at window barriers "
-                "(bounded memory)")
-      .add_double("fade-prob", 0.0, "radio: per-(cell,channel) fade probability")
-      .add_double("fade-bucket-ms", 1000.0, "radio: fade coherence time [ms]")
       .add_string("config", "", "scenario file applied before other options")
       .add_string("trace", "", "write the structured event trace (JSONL) here")
       .add_flag("conformance", "check the trace against the paper's invariants")
@@ -209,12 +204,6 @@ int main(int argc, char** argv) {
     }
   }
   if (no_file || args.was_set("pin")) cfg.pin = args.get_flag("pin");
-  if (no_file || args.was_set("stream-metrics"))
-    cfg.stream_metrics = args.get_flag("stream-metrics");
-  if (use("fade-prob")) cfg.radio_fade_prob = args.get_double("fade-prob");
-  if (use("fade-bucket-ms"))
-    cfg.radio_fade_bucket =
-        sim::from_seconds(args.get_double("fade-bucket-ms") / 1000.0);
 
   if (const std::string problem = runner::validate_scenario(cfg); !problem.empty()) {
     std::fprintf(stderr, "dcasim: invalid scenario: %s\n", problem.c_str());
@@ -298,14 +287,18 @@ int main(int argc, char** argv) {
     sim::TraceRecorder rec;
     sim::TraceRecorder* trace =
         (conformance || !trace_path.empty()) ? &rec : nullptr;
-    // Streaming mode never buffers the trace: spill it to the JSONL file
-    // as the engine folds it out (same line schema as trace_to_jsonl), or
-    // discard it when only the in-engine conformance replay needs it.
+    // The trace is never buffered: spill it to the JSONL file as the
+    // engine folds it out (same line schema as trace_to_jsonl), or discard
+    // it when only the in-engine conformance replay needs it.
     std::FILE* spill = nullptr;
-    if (cfg.stream_metrics && trace != nullptr) {
+    if (trace != nullptr) {
       if (!trace_path.empty()) {
         std::string path = trace_path;
-        if (schemes.size() > 1) path += "." + runner::scheme_name(s);
+        if (schemes.size() > 1) {
+          // One file per scheme when several run.
+          path += '.';
+          path += runner::scheme_name(s);
+        }
         spill = std::fopen(path.c_str(), "w");
         if (spill == nullptr) {
           std::fprintf(stderr, "dcasim: cannot write %s\n", path.c_str());
@@ -329,37 +322,13 @@ int main(int argc, char** argv) {
       r = runner::run_uniform(cfg, s, rho, trace);
     }
     if (spill != nullptr) std::fclose(spill);
-    if (!trace_path.empty() && !cfg.stream_metrics) {
-      // One file per scheme; the scheme name is appended when several run.
-      std::string path = trace_path;
-      if (schemes.size() > 1) path += "." + runner::scheme_name(s);
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "dcasim: cannot write %s\n", path.c_str());
-        return 2;
-      }
-      const std::string jsonl = runner::trace_to_jsonl(rec.events());
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-    }
     if (conformance) {
-      if (cfg.stream_metrics) {
-        // The engine already replayed the streamed trace through the
-        // checker; the buffered events are gone (spilled or discarded).
-        std::fprintf(stderr, "%s: conformance: %s (%llu violations, in-engine)\n",
-                     runner::scheme_name(s).c_str(),
-                     r.conformance_ok() ? "OK" : "FAILED",
-                     static_cast<unsigned long long>(r.conformance_violations));
-        if (!r.conformance_ok()) return 1;
-      } else {
-        const cell::HexGrid grid(cfg.rows, cfg.cols, cfg.interference_radius,
-                                 cfg.wrap);
-        const runner::ConformanceReport rep =
-            runner::check_trace(grid, cfg.n_channels, rec.events());
-        std::fprintf(stderr, "%s: conformance: %s\n",
-                     runner::scheme_name(s).c_str(), rep.to_string().c_str());
-        if (!rep.ok()) return 1;
-      }
+      // The engine replayed the trace through the checker as it folded it.
+      std::fprintf(stderr, "%s: conformance: %s (%llu violations, in-engine)\n",
+                   runner::scheme_name(s).c_str(),
+                   r.conformance_ok() ? "OK" : "FAILED",
+                   static_cast<unsigned long long>(r.conformance_violations));
+      if (!r.conformance_ok()) return 1;
     }
     char xi[48];
     std::snprintf(xi, sizeof xi, "%.2f/%.2f/%.2f", r.agg.xi1, r.agg.xi2,
