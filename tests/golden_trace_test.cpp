@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "runner/conformance.hpp"
