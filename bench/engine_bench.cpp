@@ -8,7 +8,7 @@
 // measures the striped-vs-blocks partition on a 12x12 grid at shards=4
 // (cross-shard protocol messages — the engine-cost metric the
 // geometry-aware partition exists to shrink) and finishes with a
-// ConformanceChecker pass over the merged sharded trace (the speedup is
+// conformance check of the merged sharded trace (the speedup is
 // worthless if the merge is wrong).
 //
 // The scenario is chosen for event density rather than paper fidelity:
@@ -33,7 +33,6 @@
 #include "metrics/json.hpp"
 #include "net/latency.hpp"
 #include "net/link_table.hpp"
-#include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
 #include "sim/trace.hpp"
 
@@ -487,21 +486,19 @@ int main(int argc, char** argv) {
   // Determinism sanity for the record: events/sec means nothing if the
   // sharded run diverged. The merged trace must satisfy every
   // conformance invariant (incl. reuse-distance, which substitutes for
-  // the cross-shard half of the online Theorem-1 check).
+  // the cross-shard half of the online Theorem-1 check). The engine
+  // checks the trace as it folds it out and prints any violation.
   dca::benchutil::heading("conformance of the merged sharded trace");
   dca::runner::ScenarioConfig cc = bench_config();
   cc.shards = shards_n;
   dca::sim::TraceRecorder rec;
+  rec.set_sink([](const dca::sim::TraceEvent&) {});
   const RunResult traced =
       dca::runner::run_uniform(cc, Scheme::kAdaptive, rho, &rec);
-  const dca::cell::HexGrid grid(cc.rows, cc.cols, cc.interference_radius,
-                                cc.wrap);
-  const auto report =
-      dca::runner::check_trace(grid, cc.n_channels, rec.events());
   std::printf("events=%llu quiescent=%d -> %s\n",
-              static_cast<unsigned long long>(report.events),
+              static_cast<unsigned long long>(rec.size()),
               traced.quiescent ? 1 : 0,
-              report.ok() ? "OK" : report.to_string().c_str());
+              traced.conformance_ok() ? "OK" : "FAILED");
 
   dca::metrics::JsonWriter w;
   w.begin_object();
@@ -516,7 +513,7 @@ int main(int argc, char** argv) {
   w.key("rho");
   w.value(rho);
   w.key("conformance_ok");
-  w.value(report.ok());
+  w.value(traced.conformance_ok());
   w.key("link_table");
   w.begin_object();
   w.key("links");
@@ -681,5 +678,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "engine_bench: cannot write BENCH_engine.json\n");
     return 1;
   }
-  return report.ok() ? 0 : 1;
+  return traced.conformance_ok() ? 0 : 1;
 }

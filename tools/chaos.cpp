@@ -1,12 +1,13 @@
 // chaos — the crash-recovery campaign harness.
 //
 // Sweeps seeds x crash rates x partition patterns x schemes, runs every
-// point with full tracing, replays each trace through the conformance
-// checker, and gates on ZERO safety violations: reuse-distance holds
-// through every crash, every restart resyncs in a bounded number of
-// request waves, and every run drains to quiescence. Availability
-// (uptime fraction, mean time to resync) is reported per campaign cell
-// as an aligned table and machine-readable JSON.
+// point with full tracing, replays each trace through the in-engine
+// conformance checker (which prints any violation it finds), and gates
+// on ZERO safety violations: reuse-distance holds through every crash,
+// every restart resyncs in a bounded number of request waves, and every
+// run drains to quiescence. Availability (uptime fraction, mean time to
+// resync) is reported per campaign cell as an aligned table and
+// machine-readable JSON.
 //
 //   $ chaos                  # full campaign -> CHAOS.{txt,json}
 //   $ chaos --smoke          # reduced matrix (CI-sized, a few seconds)
@@ -23,7 +24,6 @@
 
 #include "metrics/json.hpp"
 #include "metrics/table.hpp"
-#include "runner/conformance.hpp"
 #include "runner/experiment.hpp"
 #include "sim/trace.hpp"
 
@@ -198,12 +198,11 @@ int main(int argc, char** argv) {
         return 1;
       }
 
+      // The engine replays the trace through the conformance checker as
+      // it folds it out, so the events themselves need not be kept.
       sim::TraceRecorder trace;
+      trace.set_sink([](const sim::TraceEvent&) {});
       const runner::RunResult r = runner::run_uniform(c, pt.scheme, knobs.rho, &trace);
-
-      const cell::HexGrid grid(c.rows, c.cols, c.interference_radius, c.wrap);
-      const runner::ConformanceReport conf =
-          runner::check_trace(grid, c.n_channels, trace.events());
 
       row.offered += r.agg.offered;
       row.downed += r.agg.downed;
@@ -211,29 +210,27 @@ int main(int argc, char** argv) {
       row.avail.merge(r.availability);
       uptime_sum += r.availability.uptime_fraction(c.duration, c.rows * c.cols);
       row.violations += r.violations;
-      row.conformance_violations += conf.violations.size();
+      row.conformance_violations += r.conformance_violations;
       row.all_quiescent = row.all_quiescent && r.quiescent;
 
       const std::uint64_t bound = resync_round_bound(c);
-      const bool clean = r.violations == 0 && conf.violations.empty() &&
+      const bool clean = r.violations == 0 && r.conformance_ok() &&
                          r.quiescent &&
                          r.availability.max_resync_rounds <= bound;
       if (!clean) {
         all_clean = false;
         std::fprintf(stderr,
                      "chaos: DIRTY run scheme=%s rate=%.1f partition=%s "
-                     "seed=%llu: violations=%llu conformance=%zu "
+                     "seed=%llu: violations=%llu conformance=%llu "
                      "quiescent=%d max_resync_rounds=%llu (bound %llu)\n",
                      pt.scheme_name, pt.crash_rate, pt.partition->name,
                      static_cast<unsigned long long>(c.seed),
                      static_cast<unsigned long long>(r.violations),
-                     conf.violations.size(), r.quiescent ? 1 : 0,
+                     static_cast<unsigned long long>(r.conformance_violations),
+                     r.quiescent ? 1 : 0,
                      static_cast<unsigned long long>(
                          r.availability.max_resync_rounds),
                      static_cast<unsigned long long>(bound));
-        for (const runner::ConformanceViolation& v : conf.violations)
-          std::fprintf(stderr, "  [%s] t=%lld %s\n", v.rule.c_str(),
-                       static_cast<long long>(v.t), v.detail.c_str());
       }
       ++done;
       if (done % 16 == 0 || done == total_runs)
